@@ -1,7 +1,7 @@
 //! Quantized-resident search micro-benchmarks: SIMD PQ LUT kernels and
 //! the two-stage filter-then-rerank pipeline (quantized ISSUE).
 //!
-//! Three angles, mirroring `BENCH_PQ.json`:
+//! Three angles:
 //!
 //! * `lut_build` — per-query ADC table construction cost per kernel tier
 //!   (`scalar` vs whatever `vq_core::simd::backend()` dispatched);

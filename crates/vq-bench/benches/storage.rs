@@ -1,13 +1,18 @@
 //! Storage-path benchmarks: WAL framing throughput, arena appends,
-//! segment upserts — the per-point server-side costs behind the insert
+//! segment upserts — the per-row server-side costs behind the insert
 //! experiments.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use vq_core::Point;
+use vq_core::{Point, PointBlock};
 use vq_storage::{PagedArena, SegmentStore, Wal, WalRecord};
 
 fn point(id: u64, dim: usize) -> Point {
     Point::new(id, vec![0.25; dim])
+}
+
+/// The WAL record for one row: a one-row block.
+fn upsert_record(id: u64, dim: usize) -> WalRecord {
+    WalRecord::UpsertBlock(PointBlock::from_points(&[point(id, dim)]).unwrap())
 }
 
 fn bench_storage(c: &mut Criterion) {
@@ -17,12 +22,12 @@ fn bench_storage(c: &mut Criterion) {
         let bytes = (dim * 4 + 16) as u64;
         group.throughput(Throughput::Bytes(bytes));
         group.bench_with_input(BenchmarkId::new("append", dim), &dim, |b, &dim| {
-            let rec = WalRecord::Upsert(point(1, dim));
+            let rec = upsert_record(1, dim);
             let mut wal = Wal::in_memory();
             b.iter(|| wal.append(&rec).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("encode_decode", dim), &dim, |b, &dim| {
-            let rec = WalRecord::Upsert(point(1, dim));
+            let rec = upsert_record(1, dim);
             b.iter(|| {
                 let enc = rec.encode();
                 WalRecord::decode(&enc).unwrap()
@@ -36,7 +41,7 @@ fn bench_storage(c: &mut Criterion) {
     group.bench_function("dim256", |b| {
         let mut wal = Wal::in_memory();
         for i in 0..1000 {
-            wal.append(&WalRecord::Upsert(point(i, 256))).unwrap();
+            wal.append(&upsert_record(i, 256)).unwrap();
         }
         b.iter(|| wal.replay().unwrap())
     });

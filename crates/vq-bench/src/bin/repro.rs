@@ -34,13 +34,12 @@
 //!   is restored — the CI heal-smoke contract.
 //! * `quantized` (not part of `all`) builds a quantized-resident
 //!   collection (PQ codes in RAM, full-precision vectors demand-paged)
-//!   and sweeps rerank depth; `--check` enforces the BENCH_PQ.json
-//!   acceptance floors — the CI quantized-smoke contract.
+//!   and sweeps rerank depth; `--check` enforces the recall / residency /
+//!   coarse-scan floors — the CI quantized-smoke contract.
 //! * `paradox` (not part of `all`) sweeps workers × threads-per-worker
-//!   over real clusters (global rayon vs per-worker pools vs pinned
-//!   fair-share pools) and over the oversubscription-penalized virtual
-//!   node; `--check` enforces the BENCH_PARADOX.json gates — the CI
-//!   paradox-smoke contract.
+//!   over real clusters (mis-sized co-located pools vs pinned fair-share
+//!   pools) and over the oversubscription-penalized virtual node;
+//!   `--check` is the CI paradox-smoke contract.
 //! * `trace` (not part of `all`) traces real searches end to end —
 //!   direct over the fabric and through the REST edge with injected
 //!   `x-vq-trace-id`s — and attributes tail latency to phases; `--check`
@@ -118,13 +117,13 @@ fn main() {
 
     // Flight recorder: on unless VQ_OBS=0. The simulated experiments run
     // with it too (same span names as the live path — that is the point),
-    // but only `live`/`ingest` embed the snapshot in their results.
+    // but only `live` embeds the snapshot in its results.
     vq_obs::install_from_env();
 
     let calib = Calibration::default();
     let known = [
         "table1", "table2", "fig2", "table3", "fig3", "fig4", "fig5", "ablation",
-        "variability", "pipeline", "live", "ingest", "chaos", "heal", "quantized",
+        "variability", "pipeline", "live", "chaos", "heal", "quantized",
         "protocol", "paradox", "trace", "all",
     ];
     if !known.contains(&which) {
@@ -168,11 +167,6 @@ fn main() {
     if which == "live" {
         print_live(json, check);
     }
-    // Ingest-path comparison: opt-in only (real WAL files on this
-    // machine); `--check` makes it the CI ingest-bench-smoke contract.
-    if which == "ingest" {
-        print_ingest(json, check, scale);
-    }
     // Chaos soak: opt-in only (kills and restarts real worker threads
     // under seeded faults); `--check` makes it the CI chaos-smoke
     // contract — zero acknowledged writes lost across kill/restart
@@ -206,8 +200,8 @@ fn main() {
     }
     // Scaling-paradox sweep: opt-in only (spins up one real cluster per
     // sweep point and arm); `--check` makes it the CI paradox-smoke
-    // contract — the worst oversubscribed configuration stops losing
-    // throughput once search runs on fair-share pinned pools, and no
+    // contract — at the most oversubscribed configuration fair-share
+    // pinned pools do not lose to mis-sized co-located ones, and no
     // sweep point falls >10 % below the best smaller configuration.
     if which == "paradox" {
         print_paradox(json, check, scale);
@@ -1014,8 +1008,8 @@ struct LiveOut {
     query_secs: f64,
     mean_batch_latency_ms: f64,
     p95_batch_latency_ms: f64,
-    /// Client-side conversion/RPC stage breakdown for both ingest paths
-    /// (per-point reference, then columnar block).
+    /// Client-side conversion/RPC stage breakdown for both client ingest
+    /// modes (row-wise points, then columnar block).
     ingest: Vec<IngestStageOut>,
     /// Cluster-side telemetry, one row per worker: request counters,
     /// coordinator saturations, and the per-phase nanosecond timers.
@@ -1219,146 +1213,6 @@ fn print_live(json: bool, check: bool) {
         let criteria: Vec<(&str, bool)> =
             criteria.iter().map(|(n, ok)| (n.as_str(), *ok)).collect();
         enforce_shapes("live", &criteria);
-    }
-}
-
-#[derive(Serialize)]
-struct IngestOut {
-    path: String,
-    points: u64,
-    dim: usize,
-    secs: f64,
-    points_per_sec: f64,
-    /// WAL durability syncs: `points` on the per-point path, one per
-    /// block on the columnar path (group commit).
-    wal_syncs: u64,
-}
-
-#[derive(Serialize)]
-struct IngestReport {
-    /// One row per ingest path (per-point reference, then block).
-    runs: Vec<IngestOut>,
-    /// Full `vq-obs` registry snapshot for the run (`null` when the
-    /// recorder is disabled via `VQ_OBS=0`).
-    metrics: serde_json::Value,
-}
-
-/// Per-point vs columnar-block ingest into a WAL-backed collection — the
-/// contiguous-slab case where the block path must never lose. `--check`
-/// enforces exactly that (the CI `ingest-bench-smoke` contract);
-/// `--scale` shrinks the point count for smoke runs. Criterion-grade
-/// numbers live in `benches/ingest.rs` / `BENCH_INGEST.json`; this is
-/// the assertable end-to-end version.
-fn print_ingest(json: bool, check: bool, scale: f64) {
-    use std::time::Instant;
-    use vq_collection::{CollectionConfig, LocalCollection};
-    use vq_core::Distance;
-    use vq_storage::{FileBackend, Wal};
-    use vq_workload::{DatasetSpec, EmbeddingModel};
-
-    section("Ingest paths: per-point reference vs columnar block (WAL group commit)");
-    let dim = 256usize;
-    let n = scaled(10_000, scale, 256);
-    let corpus = CorpusSpec::small(n);
-    let model = EmbeddingModel::small(&corpus, dim);
-    let dataset = DatasetSpec::with_vectors(corpus, model, n);
-    let points = dataset.points_in(0..n);
-    let t0 = std::time::Instant::now();
-    let block = vq_client::convert_block(&points).expect("dataset batches are never ragged");
-    vq_obs::record_phase("block_convert", 0, t0.elapsed().as_secs_f64());
-    assert!(block.as_contiguous().is_some(), "contiguous-slab case");
-
-    let tmp = std::env::temp_dir().join(format!("vq-repro-ingest-{}", std::process::id()));
-    std::fs::create_dir_all(&tmp).expect("create WAL dir");
-    let config = CollectionConfig::new(dim, Distance::Euclid).max_segment_points(4096);
-
-    let wal = Wal::with_backend(Box::new(
-        FileBackend::open(tmp.join("per_point.wal")).expect("open per-point WAL"),
-    ));
-    let per_point = LocalCollection::with_wal(config, wal);
-    let t0 = Instant::now();
-    per_point.upsert_batch(points.clone()).expect("per-point ingest");
-    let per_point_secs = t0.elapsed().as_secs_f64();
-    let per_point_syncs = per_point.wal_synced_batches().unwrap_or(0);
-
-    let wal = Wal::with_backend(Box::new(
-        FileBackend::open(tmp.join("block.wal")).expect("open block WAL"),
-    ));
-    let columnar = LocalCollection::with_wal(config, wal);
-    let t0 = Instant::now();
-    columnar.upsert_block(&block).expect("block ingest");
-    let block_secs = t0.elapsed().as_secs_f64();
-    let block_syncs = columnar.wal_synced_batches().unwrap_or(0);
-
-    // The optimization must not change state: spot-check equivalence
-    // before reporting numbers for it.
-    assert_eq!(per_point.len(), columnar.len(), "both paths ingested everything");
-    let probe = (n / 2).min(n.saturating_sub(1));
-    assert_eq!(
-        per_point.get(probe).map(|p| p.vector),
-        columnar.get(probe).map(|p| p.vector),
-        "mid-dataset point must be bit-identical on both paths"
-    );
-    let _ = std::fs::remove_dir_all(&tmp);
-
-    let out = vec![
-        IngestOut {
-            path: "per_point".into(),
-            points: n,
-            dim,
-            secs: per_point_secs,
-            points_per_sec: n as f64 / per_point_secs.max(1e-12),
-            wal_syncs: per_point_syncs,
-        },
-        IngestOut {
-            path: "block".into(),
-            points: n,
-            dim,
-            secs: block_secs,
-            points_per_sec: n as f64 / block_secs.max(1e-12),
-            wal_syncs: block_syncs,
-        },
-    ];
-    let mut t = TextTable::new(["Path", "Points", "Seconds", "Points/s", "WAL syncs"]);
-    for row in &out {
-        t.row([
-            row.path.clone(),
-            row.points.to_string(),
-            format!("{:.4}", row.secs),
-            format!("{:.0}", row.points_per_sec),
-            row.wal_syncs.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-    println!(
-        "block vs per-point: {:.2}x throughput, {} vs {} durability syncs",
-        out[1].points_per_sec / out[0].points_per_sec.max(1e-12),
-        out[1].wal_syncs,
-        out[0].wal_syncs,
-    );
-    if let Some(snap) = vq_obs::snapshot() {
-        println!("phase latency percentiles (flight recorder):");
-        print_phase_percentiles(&snap, &["wal_sync", "block_convert"]);
-    }
-    emit(
-        json,
-        "ingest",
-        &IngestReport {
-            runs: out,
-            metrics: obs_metrics_json(),
-        },
-    );
-
-    if check {
-        enforce_shapes(
-            "ingest",
-            &[
-                ("block path never slower than per-point on a contiguous slab",
-                 block_secs <= per_point_secs),
-                ("block path group-commits one sync per block", block_syncs == 1),
-                ("per-point path syncs once per point", per_point_syncs == n),
-            ],
-        );
     }
 }
 
@@ -2195,28 +2049,6 @@ fn print_protocol(json: bool, check: bool, scale: f64) {
         out.identical_results
     );
 
-    // BENCH_NET.json is the committed repo-root record of this ablation
-    // (same convention as BENCH_PQ.json / BENCH_INGEST.json).
-    let mut bench_net = serde_json::to_value(&out).expect("serializable");
-    if let Some(map) = bench_net.as_object_mut() {
-        map.insert(
-            "description".to_string(),
-            serde_json::to_value(
-                "repro protocol: REST (Qdrant-compatible JSON over HTTP/1.1) vs framed \
-                 binary (vbin + PointBlock slab) over loopback, same cluster and workload",
-            )
-            .expect("string"),
-        );
-        map.remove("metrics");
-    }
-    if std::fs::write(
-        "BENCH_NET.json",
-        serde_json::to_string_pretty(&bench_net).expect("render") + "\n",
-    )
-    .is_ok()
-    {
-        println!("wrote BENCH_NET.json");
-    }
     emit(json, "protocol", &out);
 
     if check {
@@ -2274,8 +2106,8 @@ struct QuantizedReport {
 /// Quantized-resident memory hierarchy: sealed segments hold PQ codes in
 /// RAM, spill full-precision vectors to a demand-paged tier, and serve
 /// searches as SIMD coarse-scan + exact rerank. Opt-in only (trains real
-/// PQ codebooks). `--check` enforces the BENCH_PQ.json acceptance floors
-/// (the CI quantized-smoke contract): recall@10 ≥ 0.95 at some measured
+/// PQ codebooks). `--check` enforces the acceptance floors (the CI
+/// quantized-smoke contract): recall@10 ≥ 0.95 at some measured
 /// rerank depth, ≥ 4x resident-byte reduction on quantized segments, the
 /// coarse scan ≥ 2x faster than the exact scan it displaces (flight-
 /// recorder phase timing), and two-stage at full depth *identical* to
@@ -2298,7 +2130,6 @@ fn print_quantized(json: bool, check: bool, scale: f64) {
     // Clustered corpus — what embedding corpora look like. Recall on
     // uniform noise measures distance concentration, not the codec: 128
     // centers with 0.25-sigma jitter, queries jittered around centers.
-    // Same methodology and seed as BENCH_PQ.json.
     let mut rng = rand::rngs::SmallRng::seed_from_u64(97);
     let centers: Vec<Vec<f32>> = (0..128)
         .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
@@ -2381,8 +2212,8 @@ fn print_quantized(json: bool, check: bool, scale: f64) {
     // Timed comparison at the depth the recall gate certifies, against
     // the exact scan on the same (now warm) collection. The flight
     // recorder splits the two-stage time into its phases around the
-    // timed run, so the coarse-scan cost — the part the BENCH_PQ.json
-    // throughput floor is about — is measured end to end too. (The
+    // timed run, so the coarse-scan cost — the part the throughput
+    // floor is about — is measured end to end too. (The
     // rerank phase pays real demand-paging faults; at this dataset size
     // the page cache covers a fifth of the data, so total two-stage
     // latency is a memory-budget trade, not a win.)
@@ -2516,28 +2347,29 @@ struct ParadoxReport {
     virtual_penalty: f64,
     virtual_sweep: Vec<vq_bench::paradox::VirtualPoint>,
     worst_total_threads: usize,
-    worst_global_qps: f64,
+    worst_colocated_qps: f64,
     worst_partitioned_qps: f64,
     worst_improvement: f64,
     metrics: serde_json::Value,
 }
 
 /// Scaling-paradox sweep (opt-in; real clusters plus the deterministic
-/// virtual node). `--check` enforces the BENCH_PARADOX.json gates — the
-/// CI paradox-smoke contract.
+/// virtual node). `--check` is the CI paradox-smoke contract.
 fn print_paradox(json: bool, check: bool, scale: f64) {
     use vq_bench::paradox::{self, LiveScale};
 
     section("Scaling paradox: workers x threads sweep, before/after the execution layer");
     // Bursts must be long enough that best-of-reps is a real noise
-    // floor: at the full scale a burst is a few hundred queries (tens of
-    // milliseconds), not a scheduler-jitter-sized blip. The sweep itself
-    // visits the grid twice (see `live_sweep`), so each arm gets
-    // 2 passes x `reps` bursts.
+    // floor (a few hundred queries, ~100 ms), and shards large enough
+    // that scans chunk (above the flat index's parallel threshold) —
+    // below that both arms run the same serial scan and the comparison
+    // is noise. So `--scale` only grows this sweep, never shrinks it;
+    // it takes seconds as it is. The sweep itself visits the grid twice
+    // (see `live_sweep`), so each arm gets 2 passes x `reps` bursts.
     let live_scale = LiveScale {
-        points: scaled(8_192, scale, 1_024),
+        points: scaled(32_768, scale, 32_768),
         dim: 32,
-        queries: scaled(384, scale, 48) as usize,
+        queries: scaled(384, scale, 384) as usize,
         reps: 2,
     };
     let cores = vq_hpc::NodeTopology::detect().cores;
@@ -2548,15 +2380,14 @@ fn print_paradox(json: bool, check: bool, scale: f64) {
 
     let live = paradox::live_sweep(&live_scale);
     let mut t = TextTable::new([
-        "Workers", "Threads/worker", "Total", "global q/s", "colocated q/s",
-        "partitioned q/s", "Steals", "Pinned",
+        "Workers", "Threads/worker", "Total", "colocated q/s", "partitioned q/s",
+        "Steals", "Pinned",
     ]);
     for p in &live {
         t.row([
             p.workers.to_string(),
             format!("{} -> {}", p.threads_per_worker, p.partitioned_threads),
             p.total_threads.to_string(),
-            format!("{:.0}", p.global_qps),
             format!("{:.0}", p.colocated_qps),
             format!("{:.0}", p.partitioned_qps),
             p.pool_steals.to_string(),
@@ -2583,10 +2414,10 @@ fn print_paradox(json: bool, check: bool, scale: f64) {
     print!("{}", tv.render());
 
     let worst = paradox::worst_point(&live).clone();
-    let improvement = worst.partitioned_qps / worst.global_qps.max(1e-9);
+    let improvement = worst.partitioned_qps / worst.colocated_qps.max(1e-9);
     println!(
-        "worst oversubscribed point ({} workers x {} threads): {:.0} -> {:.0} q/s ({:.2}x vs global pool)",
-        worst.workers, worst.threads_per_worker, worst.global_qps,
+        "worst oversubscribed point ({} workers x {} threads): {:.0} -> {:.0} q/s ({:.2}x vs colocated)",
+        worst.workers, worst.threads_per_worker, worst.colocated_qps,
         worst.partitioned_qps, improvement
     );
 
@@ -2601,44 +2432,20 @@ fn print_paradox(json: bool, check: bool, scale: f64) {
         virtual_penalty: paradox::VIRTUAL_PENALTY,
         virtual_sweep: virtual_sweep.clone(),
         worst_total_threads: worst.total_threads,
-        worst_global_qps: worst.global_qps,
+        worst_colocated_qps: worst.colocated_qps,
         worst_partitioned_qps: worst.partitioned_qps,
         worst_improvement: improvement,
         metrics: obs_metrics_json(),
     };
 
-    // BENCH_PARADOX.json is the committed repo-root record of this sweep
-    // (same convention as BENCH_PQ.json / BENCH_NET.json).
-    let mut bench = serde_json::to_value(&out).expect("serializable");
-    if let Some(map) = bench.as_object_mut() {
-        map.insert(
-            "description".to_string(),
-            serde_json::to_value(
-                "repro paradox: workers x threads-per-worker sweep; global rayon pool vs \
-                 per-worker work-stealing pools (fair-share clamp + core affinity + \
-                 contention-spread placement), live cluster and oversubscription-penalized \
-                 virtual node",
-            )
-            .expect("string"),
-        );
-        map.remove("metrics");
-    }
-    if std::fs::write(
-        "BENCH_PARADOX.json",
-        serde_json::to_string_pretty(&bench).expect("render") + "\n",
-    )
-    .is_ok()
-    {
-        println!("wrote BENCH_PARADOX.json");
-    }
     emit(json, "paradox", &out);
 
     if check {
         // Live gates carry generous tolerances (shared CI boxes, small
         // smoke workloads); the deterministic virtual curves pin the
         // exact before/after shape.
-        let worst_not_losing = worst.partitioned_qps >= worst.global_qps * 0.95;
-        let smaller = paradox::best_smaller(&live, |p| p.partitioned_qps);
+        let worst_not_losing = worst.partitioned_qps >= worst.colocated_qps * 0.95;
+        let smaller = paradox::best_smaller(&live);
         let no_regression = smaller
             .iter()
             .all(|&(i, best)| live[i].partitioned_qps >= best * 0.90);
@@ -2670,7 +2477,7 @@ fn print_paradox(json: bool, check: bool, scale: f64) {
             "paradox",
             &[
                 (
-                    "live: worst oversubscribed point does not lose to the global-pool baseline",
+                    "live: partitioned does not lose to colocated at the most oversubscribed point",
                     worst_not_losing,
                 ),
                 (

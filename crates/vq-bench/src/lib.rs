@@ -9,7 +9,7 @@
 //! * [`fig3`] — the index-build scaling model (Figure 3).
 //! * [`paradox`] — the scaling-paradox sweep: workers × threads on the
 //!   live cluster and the oversubscription-penalized virtual node
-//!   (`repro paradox`, BENCH_PARADOX.json).
+//!   (`repro paradox`, `results/paradox.json`).
 //! * [`table1`] — the feature-comparison matrix (Table 1).
 //! * [`report`] — plain-text table rendering and JSON result emission.
 //! * [`repro`] *(binary)* — `cargo run -p vq-bench --bin repro -- all`

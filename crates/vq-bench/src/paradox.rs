@@ -8,12 +8,11 @@
 //! the execution layer (per-worker [`vq_core::ExecPool`]s, core
 //! affinity, contention-aware placement) removes the hurt:
 //!
-//! * **Live sweep** — a real in-process cluster per sweep point, three
-//!   arms each: `global` (the legacy everything-on-one-rayon-pool
-//!   baseline), `colocated` (per-worker pools, but unpinned and
-//!   advertising the node-wide width — the chunk mis-sizing the old
-//!   `rayon::current_num_threads()` call produced), and `partitioned`
-//!   (threads clamped to the worker's fair core share, pinned to
+//! * **Live sweep** — a real in-process cluster per sweep point, two
+//!   arms each: `colocated` (per-worker pools, but unpinned and
+//!   advertising the node-wide width — every worker sizing its chunks
+//!   as if the whole node were its own), and `partitioned` (threads
+//!   clamped to the worker's fair core share, pinned to
 //!   disjoint core slices, shards spread across nodes). Wall-clock
 //!   noise on shared CI boxes is tamed with best-of-`reps` timing and
 //!   two decorrelated passes over the grid (see [`live_sweep`]).
@@ -25,7 +24,7 @@
 //!
 //! The deterministic virtual curves carry the shape claims (the paradox
 //! exists before, is gone after); the live sweep pins the same claims on
-//! real hardware with tolerances. `BENCH_PARADOX.json` records both.
+//! real hardware with tolerances. `results/paradox.json` records both.
 
 use serde::Serialize;
 use vq_cluster::{Cluster, ClusterConfig, SearchExec};
@@ -62,7 +61,7 @@ pub struct LiveScale {
     pub reps: usize,
 }
 
-/// One live sweep point: all three arms on the same workload.
+/// One live sweep point: both arms on the same workload.
 #[derive(Debug, Clone, Serialize)]
 pub struct LivePoint {
     /// Co-located workers.
@@ -74,8 +73,6 @@ pub struct LivePoint {
     pub total_threads: usize,
     /// Threads per worker the partitioned arm actually ran.
     pub partitioned_threads: usize,
-    /// Legacy baseline: every worker forks into the global rayon pool.
-    pub global_qps: f64,
     /// Per-worker pools, unpinned, node-wide advertised width (the
     /// chunk mis-sizing reproduction).
     pub colocated_qps: f64,
@@ -198,7 +195,7 @@ fn run_live_arm(
     scale.queries as f64 / best.max(1e-9)
 }
 
-/// Run the live sweep: every grid point, three arms each.
+/// Run the live sweep: every grid point, two arms each.
 ///
 /// The grid is visited in TWO full passes minutes apart, keeping the
 /// best throughput per arm per point (counter deltas accumulate). One
@@ -217,8 +214,6 @@ pub fn live_sweep(scale: &LiveScale) -> Vec<LivePoint> {
         let mut idx = 0;
         for &w in &LIVE_WORKERS {
             for &t in &LIVE_THREADS {
-                let global_qps = run_live_arm(w, SearchExec::global_rayon(), &dataset, scale);
-
                 // "Before": per-worker pools at the configured width,
                 // chunks sized as if the whole node were theirs.
                 let colocated = SearchExec {
@@ -252,7 +247,6 @@ pub fn live_sweep(scale: &LiveScale) -> Vec<LivePoint> {
                         threads_per_worker: t,
                         total_threads: w as usize * t,
                         partitioned_threads: fair,
-                        global_qps,
                         colocated_qps,
                         partitioned_qps,
                         pool_injected: injected,
@@ -262,7 +256,6 @@ pub fn live_sweep(scale: &LiveScale) -> Vec<LivePoint> {
                     });
                 } else {
                     let p = &mut out[idx];
-                    p.global_qps = p.global_qps.max(global_qps);
                     p.colocated_qps = p.colocated_qps.max(colocated_qps);
                     p.partitioned_qps = p.partitioned_qps.max(partitioned_qps);
                     p.pool_injected += injected;
@@ -298,10 +291,7 @@ pub fn worst_point(points: &[LivePoint]) -> &LivePoint {
 /// clamp engages, and universal on a 1-core host) are excluded: the
 /// partitioned arm runs the same configuration at both points, so the
 /// comparison would measure run-to-run noise and nothing else.
-pub fn best_smaller<F: Fn(&LivePoint) -> f64>(
-    points: &[LivePoint],
-    qps: F,
-) -> Vec<(usize, f64)> {
+pub fn best_smaller(points: &[LivePoint]) -> Vec<(usize, f64)> {
     points
         .iter()
         .enumerate()
@@ -313,10 +303,8 @@ pub fn best_smaller<F: Fn(&LivePoint) -> f64>(
                         && q.total_threads < p.total_threads
                         && q.partitioned_threads != p.partitioned_threads
                 })
-                .map(&qps)
-                .fold(None, |acc: Option<f64>, v| {
-                    Some(acc.map_or(v, |a| a.max(v)))
-                })
+                .map(|q| q.partitioned_qps)
+                .reduce(f64::max)
                 .map(|best| (i, best))
         })
         .collect()

@@ -33,9 +33,10 @@ use vq_core::size::GB;
 /// the block path swaps the 45.64 ms/32-batch Python conversion share
 /// for this cost and keeps everything else.
 ///
-/// Defaults are calibrated against the laptop-scale measurement in
-/// `BENCH_INGEST.json`: a parallel slab gather is bounded by memory
-/// bandwidth, ~two orders of magnitude under Python object churn.
+/// Defaults are calibrated against a laptop-scale measurement (the
+/// ledger's `core.block_convert_us_per_batch` is the standing one): a
+/// parallel slab gather is bounded by memory bandwidth, ~two orders of
+/// magnitude under Python object churn.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BlockConvertCost {
     /// Fixed seconds per block: slab allocation plus rayon dispatch.

@@ -93,8 +93,8 @@ pub fn convert_block(points: &[Point]) -> VqResult<PointBlock> {
         }
     }
     let mut slab = vec![0.0f32; points.len() * dim];
-    slab.par_chunks_mut(dim.max(1))
-        .zip(points.par_iter())
+    let rows: Vec<(&mut [f32], &Point)> = slab.chunks_mut(dim.max(1)).zip(points).collect();
+    rows.into_par_iter()
         .for_each(|(row, p)| row.copy_from_slice(&p.vector));
     let ids: Vec<vq_core::PointId> = points.iter().map(|p| p.id).collect();
     let payloads: Vec<vq_core::Payload> = points.iter().map(|p| p.payload.clone()).collect();

@@ -50,11 +50,13 @@ impl Default for Deadlines {
     }
 }
 
-/// How worker-local search executes: the scaling-paradox control knob.
+/// How each worker's search pool is sized and placed: the
+/// scaling-paradox control knob. Every worker runs its searches on a
+/// dedicated work-stealing [`vq_core::ExecPool`]; queries dispatch to
+/// the owning worker's pool and every nested scan sizes its chunks by
+/// that pool's width.
 #[derive(Debug, Clone, Default)]
 pub struct SearchExec {
-    /// Execution model for `Worker::local_search`.
-    pub mode: ExecMode,
     /// Pool threads per worker. `None` = the worker's fair share of the
     /// node (`cores / workers_per_node`, floored at 1), so co-located
     /// workers never oversubscribe the machine by default.
@@ -65,35 +67,12 @@ pub struct SearchExec {
     pub pin_cores: bool,
     /// Override the width pool scans size their chunks for. Normally
     /// `None` (= the pool's real thread count); the paradox experiment's
-    /// "before" arm sets it to the node-wide thread total to reproduce
-    /// the legacy global-pool chunk mis-sizing on a narrow pool.
+    /// `colocated` arm sets it to the node-wide thread total to reproduce
+    /// whole-node chunk mis-sizing on a narrow pool.
     pub advertised_width: Option<usize>,
     /// Use contention-aware shard placement
     /// ([`Placement::contention_spread`]) instead of plain round-robin.
     pub contention_spread: bool,
-}
-
-/// Which runtime executes a worker's search fan-out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// A dedicated per-worker work-stealing [`vq_core::ExecPool`]
-    /// (the default): queries dispatch to the owning worker's pool and
-    /// every nested scan sizes its chunks by that pool's width.
-    #[default]
-    PerWorkerPool,
-    /// The legacy model — every worker thread forks into the one global
-    /// rayon pool. Kept as the measurable baseline for `repro paradox`.
-    GlobalRayon,
-}
-
-impl SearchExec {
-    /// The legacy global-rayon configuration (paradox baseline).
-    pub fn global_rayon() -> Self {
-        SearchExec {
-            mode: ExecMode::GlobalRayon,
-            ..SearchExec::default()
-        }
-    }
 }
 
 /// How a cluster is laid out.
@@ -116,7 +95,7 @@ pub struct ClusterConfig {
     pub durability: Durability,
     /// Seeded fault plan installed on the transport at start.
     pub faults: Option<FaultPlan>,
-    /// Search-execution model (per-worker pools by default).
+    /// Sizing and placement of the per-worker search pools.
     pub exec: SearchExec,
     /// Self-healing configuration. `None` (the default) keeps the legacy
     /// operator-driven behavior: a failed send marks the worker dead until
@@ -178,7 +157,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style setter for the search-execution model.
+    /// Builder-style setter for the search-pool shape.
     pub fn exec(mut self, exec: SearchExec) -> Self {
         self.exec = exec;
         self
@@ -191,31 +170,25 @@ impl ClusterConfig {
         self
     }
 
-    /// Resolve the execution context for worker `id` on this machine:
-    /// `None` for the global-rayon baseline; otherwise a dedicated
+    /// Build worker `id`'s execution context on this machine: a dedicated
     /// work-stealing pool sized to the worker's fair share of the node,
     /// optionally pinned to its disjoint core slice.
     pub(crate) fn build_exec_ctx(&self, id: WorkerId) -> vq_core::ExecCtx {
-        match self.exec.mode {
-            ExecMode::GlobalRayon => vq_core::ExecCtx::Ambient,
-            ExecMode::PerWorkerPool => {
-                let topo = vq_hpc::NodeTopology::detect();
-                let per_node = self.workers_per_node.max(1) as usize;
-                let threads = self
-                    .exec
-                    .threads_per_worker
-                    .unwrap_or_else(|| topo.fair_threads(per_node));
-                let mut pool = vq_core::PoolConfig::new(threads);
-                if let Some(w) = self.exec.advertised_width {
-                    pool = pool.advertised_width(w);
-                }
-                if self.exec.pin_cores {
-                    let slot = id as usize % per_node;
-                    pool = pool.pin_cores(topo.core_slices(per_node)[slot].clone());
-                }
-                vq_core::ExecCtx::pool(vq_core::ExecPool::new(pool))
-            }
+        let topo = vq_hpc::NodeTopology::detect();
+        let per_node = self.workers_per_node.max(1) as usize;
+        let threads = self
+            .exec
+            .threads_per_worker
+            .unwrap_or_else(|| topo.fair_threads(per_node));
+        let mut pool = vq_core::PoolConfig::new(threads);
+        if let Some(w) = self.exec.advertised_width {
+            pool = pool.advertised_width(w);
         }
+        if self.exec.pin_cores {
+            let slot = id as usize % per_node;
+            pool = pool.pin_cores(topo.core_slices(per_node)[slot].clone());
+        }
+        vq_core::ExecCtx::pool(vq_core::ExecPool::new(pool))
     }
 }
 
@@ -1220,31 +1193,10 @@ impl<T: Transport<ClusterMsg>> ClusterClient<T> {
         }
     }
 
-    /// Upsert points, routed to shard owners (all replicas).
+    /// Upsert row-wise points: laid out as one [`PointBlock`] and sent
+    /// by [`Self::upsert_block`].
     pub fn upsert_batch(&mut self, points: Vec<Point>) -> VqResult<()> {
-        // Group by (worker, shard).
-        let mut grouped: HashMap<(WorkerId, ShardId), Vec<Point>> = HashMap::new();
-        {
-            let placement = self.cluster.placement.read();
-            for p in points {
-                let shard = placement.shard_of(p.id);
-                let owners = placement.owners_of(shard)?.to_vec();
-                // Clone for all replicas but the last, which takes the
-                // original (no copy in the common unreplicated case).
-                let (last, rest) = owners.split_last().expect("placement non-empty");
-                for owner in rest {
-                    grouped.entry((*owner, shard)).or_default().push(p.clone());
-                }
-                grouped.entry((*last, shard)).or_default().push(p);
-            }
-        }
-        let writes = grouped
-            .into_iter()
-            .map(|((worker, shard), points)| {
-                (worker, shard, Request::UpsertBatch { shard, points })
-            })
-            .collect();
-        self.flush_replicated_writes(writes)
+        self.upsert_block(&Arc::new(PointBlock::from_points(&points)?))
     }
 
     /// Upsert a columnar block, routed to shard owners (all replicas).
@@ -1885,11 +1837,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_exec_matches_global_rayon_bitwise() {
-        // The per-worker-pool execution layer must be invisible in the
-        // results: same shards, same queries, bit-identical hits vs the
-        // legacy global-rayon path — with dispatch counters to show the
-        // pools actually ran.
+    fn pool_shape_never_changes_results() {
+        // Pinned 2-thread pools with contention-aware placement against
+        // the default fair-share pools: same shards, same queries,
+        // bit-identical hits — with dispatch counters to show the pools
+        // actually ran.
         // The recorder is process-global: leaving it installed would make
         // every later cluster in this test binary register its WorkerInfo
         // counters in the shared registry, so per-cluster traffic sums
@@ -1897,126 +1849,109 @@ mod tests {
         // The guard uninstalls on every exit path, including panics.
         let _obs = vq_obs::ObsGuard::install_default();
         let points = line_points(400);
-        let pooled_exec = SearchExec {
+        let shaped_exec = SearchExec {
             threads_per_worker: Some(2),
             pin_cores: true,
             contention_spread: true,
             ..SearchExec::default()
         };
-        let pooled = Cluster::start(
-            ClusterConfig::new(4).shards(4).exec(pooled_exec),
+        let shaped = Cluster::start(
+            ClusterConfig::new(4).shards(4).exec(shaped_exec),
             small_collection(),
         )
         .unwrap();
-        let legacy = Cluster::start(
-            ClusterConfig::new(4).shards(4).exec(SearchExec::global_rayon()),
-            small_collection(),
-        )
-        .unwrap();
-        let mut pc = pooled.client();
-        let mut lc = legacy.client();
-        pc.upsert_batch(points.clone()).unwrap();
-        lc.upsert_batch(points).unwrap();
+        let default =
+            Cluster::start(ClusterConfig::new(4).shards(4), small_collection()).unwrap();
+        let mut sc = shaped.client();
+        let mut dc = default.client();
+        sc.upsert_batch(points.clone()).unwrap();
+        dc.upsert_batch(points).unwrap();
         for probe in [0.3f32, 57.9, 199.2, 399.0] {
             let q = SearchRequest::new(vec![probe, 0.0, 0.0, 0.0], 7);
-            let a = pc.search(q.clone()).unwrap();
-            let b = lc.search(q).unwrap();
+            let a = sc.search(q.clone()).unwrap();
+            let b = dc.search(q).unwrap();
             assert_eq!(a.len(), 7, "probe {probe}");
             assert_eq!(a, b, "probe {probe}");
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.score.to_bits(), y.score.to_bits(), "probe {probe}");
             }
         }
-        let snap = vq_obs::snapshot().expect("recorder installed");
         // `pool.injected` is the caller-side dispatch counter and is
         // deterministic; `pool.tasks` and `pool.steals` only count work
-        // pool threads won the race to run, so presence (possibly 0) is
-        // their contract.
-        assert!(
-            snap.counter("pool.injected") > 0,
-            "pool dispatch must be counted"
-        );
-        let _ = snap.counter("pool.tasks");
-        let _ = snap.counter("pool.steals");
-        pooled.shutdown();
-        legacy.shutdown();
+        // pool threads won the race to run, and may be 0.
+        let snap = vq_obs::snapshot().expect("recorder installed");
+        assert!(snap.counter("pool.injected") > 0, "pool dispatch must be counted");
+        shaped.shutdown();
+        default.shutdown();
     }
 
     #[test]
     fn single_worker_roundtrip() {
+        // One worker, one shard: routing passes the whole block through
+        // (slab fast path), not a gather view.
         let cluster = Cluster::start(ClusterConfig::new(1), small_collection()).unwrap();
         let mut client = cluster.client();
-        client.upsert_batch(line_points(100)).unwrap();
+        let block = Arc::new(PointBlock::from_points(&line_points(100)).unwrap());
+        assert!(block.as_contiguous().is_some());
+        client.upsert_block(&block).unwrap();
         let hits = client
             .search(SearchRequest::new(vec![42.3, 0.0, 0.0, 0.0], 3))
             .unwrap();
         let ids: Vec<PointId> = hits.iter().map(|h| h.id).collect();
         assert_eq!(ids, vec![42, 43, 41]);
         assert_eq!(client.stats().unwrap().live_points, 100);
+        assert_eq!(
+            client.get(17).unwrap().unwrap().vector,
+            vec![17.0, 0.0, 0.0, 0.0]
+        );
         cluster.shutdown();
     }
 
     #[test]
-    fn block_upsert_matches_point_upsert_state() {
-        let points = line_points(120);
+    fn block_upsert_matches_sequential_point_upserts() {
+        // 120 rows over 4 shards of 8-point segments: every shard rolls
+        // several times inside the one block. Ids 5 and 70 come again
+        // later in the block (their first copies sealed by then), id 119
+        // twice in a row.
+        let mut points = line_points(120);
+        for id in [5u64, 70, 119, 119] {
+            points.push(Point::new(id, vec![id as f32, 1.0, 0.0, 0.0]));
+        }
+        let config = small_collection().max_segment_points(8);
         let block = Arc::new(PointBlock::from_points(&points).unwrap());
 
-        let via_points = Cluster::start(ClusterConfig::new(4), small_collection()).unwrap();
+        let via_points = Cluster::start(ClusterConfig::new(4), config).unwrap();
         let mut pc = via_points.client();
-        pc.upsert_batch(points).unwrap();
+        for p in points {
+            pc.upsert_batch(vec![p]).unwrap();
+        }
 
-        let via_block = Cluster::start(ClusterConfig::new(4), small_collection()).unwrap();
+        let via_block = Cluster::start(ClusterConfig::new(4), config).unwrap();
         let mut bc = via_block.client();
         bc.upsert_block(&block).unwrap();
 
-        assert_eq!(bc.stats().unwrap().live_points, 120);
+        let (ps, bs) = (pc.stats().unwrap(), bc.stats().unwrap());
+        assert_eq!(bs.live_points, 120);
+        assert_eq!(
+            (ps.live_points, ps.total_offsets, ps.segments, ps.sealed_segments),
+            (bs.live_points, bs.total_offsets, bs.segments, bs.sealed_segments)
+        );
+        assert!(bs.segments > 4 * 3, "shards must roll mid-block: {bs:?}");
+        for id in [5u64, 70, 119] {
+            assert_eq!(pc.get(id).unwrap(), bc.get(id).unwrap());
+            assert_eq!(bc.get(id).unwrap().unwrap().vector[1], 1.0, "last write wins");
+        }
         for probe in [0usize, 33, 77, 119] {
             let q = SearchRequest::new(vec![probe as f32, 0.0, 0.0, 0.0], 3);
             let a = pc.search(q.clone()).unwrap();
             let b = bc.search(q).unwrap();
             assert_eq!(a, b, "probe {probe}");
         }
-        // Per-worker write accounting ticks for block ingest too.
-        let infos = bc.worker_info().unwrap();
-        let written: u64 = infos.iter().map(|i| i.points_written).sum();
-        assert_eq!(written, 120);
+        // Per-worker write accounting counts rows.
+        let written: u64 = bc.worker_info().unwrap().iter().map(|i| i.points_written).sum();
+        assert_eq!(written, 124);
         via_points.shutdown();
         via_block.shutdown();
-    }
-
-    #[test]
-    fn replicated_block_upsert_reaches_all_replicas() {
-        let cluster =
-            Cluster::start(ClusterConfig::new(3).replication(2), small_collection()).unwrap();
-        let mut client = cluster.client();
-        let block = Arc::new(PointBlock::from_points(&line_points(60)).unwrap());
-        client.upsert_block(&block).unwrap();
-        // Each point stored twice (both replicas), search dedupes.
-        assert_eq!(client.stats().unwrap().live_points, 120);
-        let hits = client
-            .search(SearchRequest::new(vec![30.0, 0.0, 0.0, 0.0], 5))
-            .unwrap();
-        assert_eq!(hits[0].id, 30);
-        client.delete(30).unwrap();
-        assert_eq!(client.get(30).unwrap(), None);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn single_worker_block_keeps_contiguous_slab() {
-        // One worker, one shard: routing must pass the whole block through
-        // (slab fast path), not a gather view.
-        let cluster = Cluster::start(ClusterConfig::new(1), small_collection()).unwrap();
-        let mut client = cluster.client();
-        let block = Arc::new(PointBlock::from_points(&line_points(40)).unwrap());
-        assert!(block.as_contiguous().is_some());
-        client.upsert_block(&block).unwrap();
-        assert_eq!(client.stats().unwrap().live_points, 40);
-        assert_eq!(
-            client.get(17).unwrap().unwrap().vector,
-            vec![17.0, 0.0, 0.0, 0.0]
-        );
-        cluster.shutdown();
     }
 
     #[test]
@@ -2109,6 +2044,9 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), before, "duplicate ids in {ids:?}");
         assert_eq!(hits[0].id, 30);
+        // A delete reaches both replicas.
+        client.delete(30).unwrap();
+        assert_eq!(client.get(30).unwrap(), None);
         cluster.shutdown();
     }
 

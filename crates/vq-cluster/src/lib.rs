@@ -36,7 +36,7 @@ pub mod recovery;
 pub mod worker;
 
 pub use cluster::{
-    Cluster, ClusterClient, ClusterConfig, Deadlines, ExecMode, SearchExec, SearchOutcome,
+    Cluster, ClusterClient, ClusterConfig, Deadlines, SearchExec, SearchOutcome,
 };
 pub use detector::{FailureDetector, HealConfig, WorkerHealth};
 pub use messages::{ClusterMsg, Request, Response, TraceContext, WorkerInfo};

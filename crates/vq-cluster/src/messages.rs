@@ -56,13 +56,6 @@ impl From<vq_obs::TraceContext> for TraceContext {
 /// Request bodies.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum Request {
-    /// Insert/replace points into one shard this worker owns.
-    UpsertBatch {
-        /// Target shard.
-        shard: ShardId,
-        /// Points to write.
-        points: Vec<Point>,
-    },
     /// Insert/replace a columnar block into one shard this worker owns.
     ///
     /// The block travels behind an `Arc`: shard routing on the client
@@ -254,9 +247,8 @@ pub enum ClusterMsg {
         reply_to: u32,
         /// Correlation tag echoed in the response.
         tag: u64,
-        /// Distributed-trace context, when the requester is tracing.
-        /// `#[serde(default)]` keeps version-1 frames (which predate the
-        /// field) decodable: absent means untraced.
+        /// Distributed-trace context, when the requester is tracing
+        /// (absent means untraced).
         #[serde(default)]
         trace: Option<TraceContext>,
         /// Body.
@@ -270,10 +262,7 @@ pub enum ClusterMsg {
         body: Response,
     },
     /// Periodic liveness beacon a worker emits to the cluster's monitor
-    /// endpoint (wire version 3). Variants encode by name, so version-1/2
-    /// frames — which never contain this variant — still decode, and a
-    /// version-3 sender never aims a `Heartbeat` at a pre-3 receiver: the
-    /// monitor endpoint only exists on clusters that enabled healing.
+    /// endpoint, which only exists on clusters that enabled healing.
     Heartbeat {
         /// Emitting worker.
         worker: u32,
@@ -320,7 +309,6 @@ impl ClusterMsg {
                 let trace_bytes: u64 = if trace.is_some() { 70 } else { 11 };
                 trace_bytes
                     + match body {
-                        Request::UpsertBatch { points, .. } => 64 + points_bytes(points),
                         Request::UpsertBlock { block, .. } => {
                             64 + block.approx_bytes() as u64 + 8 * block.len() as u64
                         }
@@ -368,43 +356,15 @@ mod tests {
             reply_to: 0,
             tag: 0,
             trace: None,
-            body: Request::UpsertBatch {
+            body: Request::UpsertBlock {
                 shard: 0,
-                points: vec![Point::new(1, vec![0.0; 2560]); 8],
+                block: Arc::new(
+                    PointBlock::from_points(&vec![Point::new(1, vec![0.0; 2560]); 8]).unwrap(),
+                ),
             },
         };
         assert!(big.approx_wire_bytes() > 8 * 4 * 2560);
         assert!(small.approx_wire_bytes() < 100);
-    }
-
-    #[test]
-    fn block_wire_size_tracks_point_batch() {
-        let points = vec![Point::new(1, vec![0.0; 256]); 8];
-        let as_points = ClusterMsg::Request {
-            reply_to: 0,
-            tag: 0,
-            trace: None,
-            body: Request::UpsertBatch {
-                shard: 0,
-                points: points.clone(),
-            },
-        };
-        let as_block = ClusterMsg::Request {
-            reply_to: 0,
-            tag: 0,
-            trace: None,
-            body: Request::UpsertBlock {
-                shard: 0,
-                block: Arc::new(PointBlock::from_points(&points).unwrap()),
-            },
-        };
-        // The columnar block genuinely encodes smaller (raw slab, no
-        // per-point struct keys), but the two must stay within 10% — the
-        // vectors dominate either way.
-        let block_bytes = as_block.approx_wire_bytes();
-        let point_bytes = as_points.approx_wire_bytes();
-        assert!(block_bytes <= point_bytes);
-        assert!(point_bytes <= block_bytes + block_bytes / 10);
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::messages::{ClusterMsg, Request, Response};
 use crate::placement::{Placement, ShardId, WorkerId};
 use crate::recovery::WalStore;
 use parking_lot::RwLock;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -64,9 +63,8 @@ struct WorkerState<T: Transport<ClusterMsg>> {
     shards: RwLock<HashMap<ShardId, Arc<LocalCollection>>>,
     placement: Arc<RwLock<Placement>>,
     transport: T,
-    /// Where this worker's local searches execute: a dedicated
-    /// work-stealing pool (default), the ambient global rayon pool
-    /// (legacy baseline), or serial.
+    /// Where this worker's local searches execute: its dedicated
+    /// work-stealing pool.
     exec: vq_core::ExecCtx,
     /// In-flight outbound shard copies: internal tag → (requester,
     /// requester's tag). The install confirmation from the receiver is
@@ -404,27 +402,6 @@ fn handle_local<T: Transport<ClusterMsg>>(
     body: Request,
 ) -> Option<Response> {
     Some(match body {
-        Request::UpsertBatch { shard, points } => {
-            let n = points.len() as u64;
-            match state.shards.read().get(&shard) {
-                Some(c) => {
-                    let t0 = std::time::Instant::now();
-                    let result = c.upsert_batch(points);
-                    let dur = t0.elapsed();
-                    state.counters.upsert_nanos.add(dur.as_nanos() as u64);
-                    vq_obs::record_phase("upsert", u64::from(state.id), dur.as_secs_f64());
-                    match result {
-                        Ok(()) => {
-                            state.counters.upsert_batches.add(1);
-                            state.counters.points_written.add(n);
-                            Response::Ok
-                        }
-                        Err(e) => Response::Error(e),
-                    }
-                }
-                None => Response::Error(VqError::ShardNotFound(shard)),
-            }
-        }
         Request::UpsertBlock { shard, block } => {
             let n = block.len() as u64;
             match state.shards.read().get(&shard) {
@@ -664,7 +641,7 @@ fn handle_local<T: Transport<ClusterMsg>>(
 }
 
 /// Search this worker's shards: one merged partial list per query.
-/// Queries run in parallel on the shared rayon pool — each one is an
+/// Queries run in parallel on the worker's pool — each one is an
 /// independent top-k scan, so batch latency tracks the slowest query
 /// rather than the sum.
 fn local_search<T: Transport<ClusterMsg>>(
@@ -712,8 +689,7 @@ fn local_search<T: Transport<ClusterMsg>>(
     };
     match &state.exec {
         // Queries dispatch to this worker's own pool; nested scans
-        // underneath size their chunks by the same pool's width instead
-        // of the global rayon count.
+        // underneath size their chunks by the same pool's width.
         vq_core::ExecCtx::Pool(pool) => {
             let stamp = vq_obs::enabled().then(std::time::Instant::now);
             let results = pool.scope_map(queries.len(), |i| run_query(&queries[i]));
@@ -726,8 +702,6 @@ fn local_search<T: Transport<ClusterMsg>>(
             }
             results.into_iter().collect()
         }
-        // Legacy model: fork the batch into the one global rayon pool.
-        vq_core::ExecCtx::Ambient => queries.par_iter().map(run_query).collect(),
         vq_core::ExecCtx::Serial => queries.iter().map(run_query).collect(),
     }
 }

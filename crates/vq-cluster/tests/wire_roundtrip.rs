@@ -187,9 +187,6 @@ fn collection_stats() -> impl Strategy<Value = CollectionStats> {
 
 fn request() -> impl Strategy<Value = Request> {
     let arms: Vec<BoxedStrategy<Request>> = vec![
-        (any::<u32>(), prop::collection::vec(point(), 0..6))
-            .prop_map(|(shard, points)| Request::UpsertBatch { shard, points })
-            .boxed(),
         (any::<u32>(), point_block())
             .prop_map(|(shard, block)| Request::UpsertBlock { shard, block })
             .boxed(),
@@ -369,13 +366,6 @@ fn approx_wire_bytes_tracks_real_encoding() {
     };
     let cases: Vec<(&str, ClusterMsg)> = vec![
         (
-            "upsert_batch",
-            req(Request::UpsertBatch {
-                shard: 0,
-                points: points.clone(),
-            }),
-        ),
-        (
             "upsert_block",
             req(Request::UpsertBlock {
                 shard: 0,
@@ -466,14 +456,12 @@ fn trace_context_survives_framing_and_rejects_torn_frames() {
     }
 }
 
-/// Heartbeat beacons (the variant that bumped the protocol to wire
-/// version 3) survive the full frame path bit-exactly, frames carrying
-/// them advertise the bumped version, and the size estimate the fabric
-/// accounting charges for a beacon stays in the right ballpark.
+/// Heartbeat beacons survive the full frame path bit-exactly, and the
+/// size estimate the fabric accounting charges for a beacon stays in
+/// the right ballpark.
 #[test]
-fn heartbeat_roundtrips_and_bumps_wire_version() {
+fn heartbeat_roundtrips_through_a_frame() {
     use vq_net::wire::WIRE_VERSION;
-    assert!(WIRE_VERSION >= 3, "heartbeats entered the protocol at v3");
 
     let msg = ClusterMsg::Heartbeat {
         worker: 2,
@@ -500,19 +488,13 @@ fn heartbeat_roundtrips_and_bumps_wire_version() {
     );
 }
 
-/// A version-1 peer's request — no `trace` entry in the envelope map —
-/// still decodes on this build: the field falls back to `None` via
-/// `#[serde(default)]`, and the frame header's version byte is accepted
-/// down to `MIN_WIRE_VERSION`.
+/// A request envelope with no `trace` entry in its map still decodes:
+/// the field falls back to `None` via `#[serde(default)]` (the codec
+/// encodes structs field-by-name).
 #[test]
-fn version1_frames_without_trace_field_decode() {
-    use vq_net::wire::{MIN_WIRE_VERSION, WIRE_VERSION};
-
-    // The old envelope shape, reconstructed: same variant and field
-    // names, minus `trace`. The codec encodes structs field-by-name, so
-    // this is byte-identical to what a version-1 sender produces.
+fn envelope_without_trace_field_decodes() {
     #[derive(serde::Serialize)]
-    enum OldClusterMsg {
+    enum TracelessClusterMsg {
         Request {
             reply_to: u32,
             tag: u64,
@@ -520,20 +502,13 @@ fn version1_frames_without_trace_field_decode() {
         },
     }
 
-    let payload = to_bytes(&OldClusterMsg::Request {
+    let payload = to_bytes(&TracelessClusterMsg::Request {
         reply_to: 5,
         tag: 99,
         body: Request::Ping,
     })
     .unwrap();
-    let mut frame = encode_frame(&payload);
-    assert_eq!(frame[4], WIRE_VERSION);
-    frame[4] = MIN_WIRE_VERSION;
-
-    let got = read_frame(&mut std::io::Cursor::new(frame))
-        .unwrap()
-        .expect("one frame");
-    let back: ClusterMsg = from_bytes(&got).unwrap();
+    let back: ClusterMsg = from_bytes(&payload).unwrap();
     assert_eq!(
         back,
         ClusterMsg::Request {

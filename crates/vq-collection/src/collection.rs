@@ -2,17 +2,16 @@
 //!
 //! A [`LocalCollection`] is an active growable segment plus a list of
 //! sealed segments, the id→segment routing table, and (optionally) a WAL.
-//! Searches fan out across segments — in parallel via rayon when the
-//! segment count warrants it — and merge with the same rank order used by
-//! the cluster layer, so local and distributed results are bit-identical
-//! for the same data.
+//! Searches fan out across segments — as pool tasks when the caller
+//! brings an [`vq_core::ExecPool`] — and merge with the same rank order
+//! used by the cluster layer, so local and distributed results are
+//! bit-identical for the same data.
 
 use crate::config::{CollectionConfig, IndexingPolicy};
 use crate::segment::Segment;
 use crate::stats::CollectionStats;
 use crate::SearchRequest;
 use parking_lot::RwLock;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use vq_core::{point::merge_top_k, Point, PointBlock, PointId, ScoredPoint, VqError, VqResult};
 use vq_storage::{Wal, WalRecord};
@@ -103,7 +102,6 @@ impl LocalCollection {
         c.wal = Some(parking_lot::Mutex::new(wal));
         for record in records {
             match record {
-                WalRecord::Upsert(p) => c.apply_upsert(p)?,
                 WalRecord::UpsertBlock(b) => c.apply_block(&b)?,
                 WalRecord::Delete(id) => c.apply_delete(id)?,
                 WalRecord::SealSegment { .. } => c.seal_active(),
@@ -136,57 +134,24 @@ impl LocalCollection {
         &self.config
     }
 
-    /// Durability syncs performed by the journal so far (`None` without a
-    /// WAL). One per record: per-point ingest pays one per point, block
-    /// ingest one per block — the group-commit ratio `repro ingest`
-    /// reports.
-    pub fn wal_synced_batches(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.lock().synced_batches())
-    }
-
-    /// Insert or replace a point.
+    /// Insert or replace a point: a one-row [`Self::upsert_block`].
     pub fn upsert(&self, point: Point) -> VqResult<()> {
-        if point.vector.len() != self.config.dim {
-            return Err(VqError::DimensionMismatch {
-                expected: self.config.dim,
-                got: point.vector.len(),
-            });
-        }
-        self.journal(|| WalRecord::Upsert(point.clone()))?;
-        self.apply_upsert(point)
+        self.upsert_batch(vec![point])
     }
 
-    /// Insert or replace a batch of points (one lock acquisition).
+    /// Insert or replace a batch of row-wise points: laid out as one
+    /// [`PointBlock`] and taken by [`Self::upsert_block`].
     pub fn upsert_batch(&self, points: Vec<Point>) -> VqResult<()> {
-        for p in &points {
-            if p.vector.len() != self.config.dim {
-                return Err(VqError::DimensionMismatch {
-                    expected: self.config.dim,
-                    got: p.vector.len(),
-                });
-            }
-        }
-        if let Some(wal) = &self.wal {
-            let mut wal = wal.lock();
-            for p in &points {
-                wal.append(&WalRecord::Upsert(p.clone()))?;
-            }
-        }
-        let mut inner = self.inner.write();
-        for p in points {
-            Self::upsert_locked(&self.config, &mut inner, p)?;
-        }
-        Ok(())
+        self.upsert_block(&PointBlock::from_points(&points)?)
     }
 
-    /// Insert or replace a whole columnar block: one WAL record (group
-    /// commit — a single durability sync), one write-lock acquisition, and
-    /// page-granular arena copies instead of per-point pushes.
+    /// Insert or replace a whole columnar block — the one write path: one
+    /// WAL record (group commit — a single durability sync), one
+    /// write-lock acquisition, and page-granular arena copies.
     ///
     /// The resulting collection state — segment boundaries, tombstones,
-    /// routing, vector bits — is identical to
-    /// `upsert_batch(block.to_points())`; the per-point path remains the
-    /// reference implementation and the property tests pin the equivalence.
+    /// routing, vector bits — is identical to upserting the block's rows
+    /// one at a time; the property tests pin the equivalence.
     pub fn upsert_block(&self, block: &PointBlock) -> VqResult<()> {
         if block.is_empty() {
             return Ok(());
@@ -206,12 +171,12 @@ impl LocalCollection {
         Self::upsert_block_locked(&self.config, &mut inner, block)
     }
 
-    /// The locked half of the block ingest path. Splits the block at
-    /// segment-roll boundaries so the segment layout matches the
-    /// per-point path exactly, tombstones cross-segment previous copies,
-    /// bulk-copies each chunk's slab, and normalizes in place afterwards
-    /// for metrics that normalize on ingest (the block itself is shared
-    /// and immutable).
+    /// The locked half of the ingest path. Splits the block at
+    /// segment-roll boundaries (so a block and its rows upserted one at a
+    /// time lay out the same segments), tombstones cross-segment previous
+    /// copies, bulk-copies each chunk's slab, and normalizes in place
+    /// afterwards for metrics that normalize on ingest (the block itself
+    /// is shared and immutable).
     fn upsert_block_locked(
         config: &CollectionConfig,
         inner: &mut Inner,
@@ -219,8 +184,9 @@ impl LocalCollection {
     ) -> VqResult<()> {
         let mut row = 0;
         while row < block.len() {
-            // Roll the active segment if full — same predicate and timing
-            // as `upsert_locked`, so both paths produce identical rolls.
+            // Roll the active segment if full — before the stale-copy
+            // check, so "previous copy in the active segment" cannot be
+            // invalidated by the roll itself.
             let active_idx = {
                 let active = inner.segments.last().expect("always one segment");
                 if active.store().total_offsets() >= config.max_segment_points
@@ -229,6 +195,7 @@ impl LocalCollection {
                     let seq = inner.next_seq;
                     inner.next_seq += 1;
                     inner.segments.last_mut().expect("nonempty").seal();
+                    vq_obs::count("collection.segments_sealed", 1);
                     inner.segments.push(Segment::new(seq, config));
                 }
                 inner.segments.len() - 1
@@ -259,49 +226,6 @@ impl LocalCollection {
             }
             row += take;
         }
-        Ok(())
-    }
-
-    fn apply_upsert(&self, point: Point) -> VqResult<()> {
-        let mut inner = self.inner.write();
-        Self::upsert_locked(&self.config, &mut inner, point)
-    }
-
-    fn upsert_locked(
-        config: &CollectionConfig,
-        inner: &mut Inner,
-        point: Point,
-    ) -> VqResult<()> {
-        let id = point.id;
-        // Roll the active segment if full — before the stale-copy check,
-        // so "previous copy in the active segment" cannot be invalidated
-        // by the roll itself.
-        let active_idx = {
-            let active = inner.segments.last().expect("always one segment");
-            if active.store().total_offsets() >= config.max_segment_points
-                || active.is_sealed()
-            {
-                let seq = inner.next_seq;
-                inner.next_seq += 1;
-                inner.segments.last_mut().expect("nonempty").seal();
-                vq_obs::count("collection.segments_sealed", 1);
-                inner.segments.push(Segment::new(seq, config));
-            }
-            inner.segments.len() - 1
-        };
-        // Tombstone a previous copy living in another segment. (A copy in
-        // the active segment is replaced by the upsert below.)
-        if let Some(&seg_idx) = inner.routing.get(&id) {
-            if seg_idx != active_idx {
-                inner.segments[seg_idx].store_mut().delete(id)?;
-            }
-        }
-        let mut point = point;
-        if config.metric.normalizes_on_ingest() {
-            vq_core::vector::normalize_in_place(&mut point.vector);
-        }
-        inner.segments[active_idx].store_mut().upsert(point)?;
-        inner.routing.insert(id, active_idx);
         Ok(())
     }
 
@@ -344,9 +268,9 @@ impl LocalCollection {
         self.len() == 0
     }
 
-    /// Top-`k` search across all segments.
+    /// Top-`k` search across all segments, on the calling thread.
     pub fn search(&self, request: &SearchRequest) -> VqResult<Vec<ScoredPoint>> {
-        self.search_ctx(request, &vq_core::ExecCtx::Ambient)
+        self.search_ctx(request, &vq_core::ExecCtx::Serial)
     }
 
     /// Top-`k` search on an explicit execution context.
@@ -354,10 +278,9 @@ impl LocalCollection {
     /// On a [`vq_core::ExecPool`] context segments fan out as pool tasks
     /// (the calling thread participates, so a single-segment collection
     /// pays no dispatch) and the context reaches every segment's chunked
-    /// scans underneath. [`vq_core::ExecCtx::Ambient`] reproduces the
-    /// legacy behaviour: rayon across segments when more than two,
-    /// sequential otherwise. Results are bit-identical across contexts —
-    /// every path selects under [`ScoredPoint`]'s total order and merges
+    /// scans underneath; [`vq_core::ExecCtx::Serial`] walks the segments
+    /// in place. Results are bit-identical across contexts — every path
+    /// selects under [`ScoredPoint`]'s total order and merges
     /// deterministically.
     pub fn search_ctx(
         &self,
@@ -394,9 +317,6 @@ impl LocalCollection {
         let partials: Vec<Vec<ScoredPoint>> = match ctx {
             vq_core::ExecCtx::Pool(pool) if inner.segments.len() > 1 => {
                 pool.scope_map(inner.segments.len(), |i| run(&inner.segments[i]))
-            }
-            vq_core::ExecCtx::Ambient if inner.segments.len() > 2 => {
-                inner.segments.par_iter().map(run).collect()
             }
             _ => inner.segments.iter().map(run).collect(),
         };
@@ -1026,52 +946,66 @@ mod tests {
             .collect()
     }
 
+    /// The same rows, one upsert each: what a block must be equivalent to.
+    fn one_at_a_time(config: CollectionConfig, points: &[Point]) -> LocalCollection {
+        let c = LocalCollection::new(config);
+        for p in points {
+            c.upsert(p.clone()).unwrap();
+        }
+        c
+    }
+
     #[test]
-    fn upsert_block_matches_upsert_batch_across_rolls() {
+    fn upsert_block_matches_sequential_upserts_across_rolls() {
         // 25 points over max_segment_points = 10 forces two mid-block
-        // rolls; block 2 re-upserts ids that landed in sealed segments.
+        // rolls; ids 3..11 come again (previous copies in sealed
+        // segments), and id 30 is repeated inside the block, once within
+        // a segment and once across a roll.
         let mut points = payload_points(25, 0);
-        points.extend(payload_points(8, 3)); // ids 3..11 again
-        let via_batch = LocalCollection::new(small_config());
-        via_batch.upsert_batch(points.clone()).unwrap();
+        points.extend(payload_points(8, 3));
+        points.extend(payload_points(1, 30));
+        points.extend(payload_points(1, 30));
+        points.extend(payload_points(6, 40));
+        points.extend(payload_points(1, 30));
+        let via_points = one_at_a_time(small_config(), &points);
         let via_block = LocalCollection::new(small_config());
         via_block
             .upsert_block(&PointBlock::from_points(&points).unwrap())
             .unwrap();
 
-        let a = via_batch.export_segments();
+        let a = via_points.export_segments();
         let b = via_block.export_segments();
         assert_eq!(a.len(), b.len(), "segment boundaries must match");
+        assert!(a.len() >= 5, "rolls land mid-block: {}", a.len());
         for (sa, sb) in a.iter().zip(&b) {
             assert_eq!(sa.vectors, sb.vectors);
             assert_eq!(sa.ids, sb.ids);
             assert_eq!(sa.payloads, sb.payloads);
             assert_eq!(sa.sealed, sb.sealed);
         }
-        let qa = via_batch.search(&SearchRequest::new(vec![7.2, 1.0], 5)).unwrap();
+        assert_eq!(via_points.len(), via_block.len());
+        let qa = via_points.search(&SearchRequest::new(vec![7.2, 1.0], 5)).unwrap();
         let qb = via_block.search(&SearchRequest::new(vec![7.2, 1.0], 5)).unwrap();
         assert_eq!(qa, qb);
     }
 
     #[test]
-    fn upsert_block_cosine_is_bit_identical_to_batch() {
+    fn upsert_block_cosine_is_bit_identical_to_sequential_upserts() {
         let config = CollectionConfig::new(2, Distance::Cosine).max_segment_points(7);
         let points: Vec<Point> = (0..20u64)
             .map(|i| Point::new(i, vec![i as f32 + 0.5, -(i as f32) * 3.0]))
             .collect();
-        let via_batch = LocalCollection::new(config);
-        via_batch.upsert_batch(points.clone()).unwrap();
+        let via_points = one_at_a_time(config, &points);
         let via_block = LocalCollection::new(config);
         via_block
             .upsert_block(&PointBlock::from_points(&points).unwrap())
             .unwrap();
-        for (sa, sb) in via_batch
-            .export_segments()
-            .iter()
-            .zip(&via_block.export_segments())
-        {
-            // Bit-level equality: normalize-then-copy (per point) must
-            // equal copy-then-normalize (block path).
+        let a = via_points.export_segments();
+        let b = via_block.export_segments();
+        assert_eq!(a.len(), b.len());
+        for (sa, sb) in a.iter().zip(&b) {
+            // Bit-level equality: in-place normalization of a whole
+            // chunk must equal normalizing each row as it arrives.
             assert_eq!(sa.vectors, sb.vectors);
         }
     }
@@ -1089,53 +1023,28 @@ mod tests {
     }
 
     #[test]
-    fn block_wal_recovery_reproduces_state() {
-        let config = small_config();
-        let c = LocalCollection::with_wal(config, Wal::in_memory());
-        let block = PointBlock::from_points(&payload_points(15, 0)).unwrap();
-        c.upsert_block(&block).unwrap();
-        c.delete(4).unwrap();
-        c.upsert_block(&PointBlock::from_points(&payload_points(3, 7)).unwrap())
-            .unwrap();
-        let records = c.wal.as_ref().unwrap().lock().replay().unwrap();
-        let mut wal2 = Wal::in_memory();
-        for r in &records {
-            wal2.append(r).unwrap();
-        }
-        let r = LocalCollection::recover(config, wal2).unwrap();
-        assert_eq!(r.len(), c.len());
-        assert_eq!(r.get(4), None);
-        let a = c.export_segments();
-        let b = r.export_segments();
-        assert_eq!(a.len(), b.len());
-        for (sa, sb) in a.iter().zip(&b) {
-            assert_eq!(sa.vectors, sb.vectors);
-            assert_eq!(sa.ids, sb.ids);
-        }
-    }
-
-    #[test]
     fn block_ingest_group_commits_one_sync_per_block() {
         let c = LocalCollection::with_wal(small_config(), Wal::in_memory());
-        // Per-point reference: a 12-point batch costs 12 syncs.
+        // A row-wise batch is laid out as one block: one sync.
         c.upsert_batch(payload_points(12, 0)).unwrap();
-        assert_eq!(c.wal.as_ref().unwrap().lock().synced_batches(), 12);
-        // Block path: three blocks cost exactly three more syncs — the
-        // sync count tracks blocks, not points.
+        assert_eq!(c.wal.as_ref().unwrap().lock().synced_batches(), 1);
+        // Three blocks cost exactly three more syncs — the sync count
+        // tracks blocks, not points.
         for b in 0..3u64 {
             let block = PointBlock::from_points(&payload_points(12, 100 * (b + 1))).unwrap();
             c.upsert_block(&block).unwrap();
         }
-        assert_eq!(c.wal.as_ref().unwrap().lock().synced_batches(), 15);
+        assert_eq!(c.wal.as_ref().unwrap().lock().synced_batches(), 4);
         assert_eq!(c.len(), 48);
     }
 
     #[test]
     fn wal_recovery_reproduces_state() {
         let config = small_config();
-        let wal = Wal::in_memory();
-        let c = LocalCollection::with_wal(config, wal);
-        fill(&c, 15);
+        let c = LocalCollection::with_wal(config, Wal::in_memory());
+        // A block that rolls mid-way, a delete, a one-row overwrite.
+        c.upsert_block(&PointBlock::from_points(&payload_points(15, 0)).unwrap())
+            .unwrap();
         c.delete(4).unwrap();
         c.upsert(Point::new(7, vec![70.0, 0.0])).unwrap();
         // Steal the WAL bytes to build a "recovered" instance.
@@ -1148,12 +1057,15 @@ mod tests {
         assert_eq!(r.len(), c.len());
         assert_eq!(r.get(4), None);
         assert_eq!(r.get(7).unwrap().vector, vec![70.0, 0.0]);
-        let a = c.search(&SearchRequest::new(vec![9.0, 0.0], 5)).unwrap();
-        let b = r.search(&SearchRequest::new(vec![9.0, 0.0], 5)).unwrap();
-        assert_eq!(
-            a.iter().map(|h| h.id).collect::<Vec<_>>(),
-            b.iter().map(|h| h.id).collect::<Vec<_>>()
-        );
+        let a = c.export_segments();
+        let b = r.export_segments();
+        assert_eq!(a.len(), b.len());
+        for (sa, sb) in a.iter().zip(&b) {
+            assert_eq!(sa.vectors, sb.vectors);
+            assert_eq!(sa.ids, sb.ids);
+        }
+        let q = SearchRequest::new(vec![9.0, 0.0], 5);
+        assert_eq!(c.search(&q).unwrap(), r.search(&q).unwrap());
     }
 
     #[test]

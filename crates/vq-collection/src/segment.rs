@@ -255,7 +255,8 @@ impl Segment {
         )
     }
 
-    /// [`Segment::search`] with explicit two-stage knobs.
+    /// [`Segment::search`] with explicit two-stage knobs, on the calling
+    /// thread.
     #[allow(clippy::too_many_arguments)]
     pub fn search_with_params(
         &self,
@@ -275,7 +276,7 @@ impl Segment {
             filter,
             with_payload,
             params,
-            &vq_core::ExecCtx::Ambient,
+            &vq_core::ExecCtx::Serial,
         )
     }
 
@@ -283,8 +284,7 @@ impl Segment {
     ///
     /// The context reaches the chunked scans underneath — the PQ coarse
     /// scan and the flat fallback — so their chunk sizing matches the
-    /// pool actually running the query instead of the global rayon
-    /// width. Graph (HNSW) and prefiltered scans are inherently
+    /// pool actually running the query. Graph (HNSW) and prefiltered scans are inherently
     /// sequential per query and ignore it.
     #[allow(clippy::too_many_arguments)]
     pub fn search_with_params_ctx(

@@ -1,14 +1,14 @@
-//! Property-based equivalence of the two ingest paths: for arbitrary
+//! Property-based equivalence of block granularity: for arbitrary
 //! point sets (duplicate ids, ragged final segments, every metric), a
-//! collection fed through per-point `upsert_batch` and one fed the same
-//! points through columnar `upsert_block` must hold *bit-identical*
-//! segment state — same segment boundaries, same arena bytes, same id
+//! collection fed one point per `upsert` and one fed the same points as
+//! a single columnar `upsert_block` must hold *bit-identical* segment
+//! state — same segment boundaries, same arena bytes, same id
 //! rows, same payload columns — and answer searches identically both on
 //! the flat path (unsealed scan) and through HNSW after an index build.
 //!
-//! This is the proof obligation of the zero-copy ingest path: blocks are
-//! an optimization of the wire/WAL/arena representation, never of the
-//! semantics.
+//! This is the proof obligation of the ingest path: a block is a
+//! wire/WAL/arena representation, never a change of semantics — how
+//! rows are grouped into blocks must not be observable.
 
 use proptest::prelude::*;
 use vq_collection::{CollectionConfig, LocalCollection, SearchRequest};
@@ -71,7 +71,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn block_and_batch_ingest_are_bit_identical(
+    fn block_and_one_point_ingest_are_bit_identical(
         dim in 2usize..5,
         seg in 3usize..17,
         metric in arb_metric(),
@@ -90,7 +90,9 @@ proptest! {
         let config = CollectionConfig::new(dim, metric).max_segment_points(seg);
 
         let per_point = LocalCollection::new(config);
-        per_point.upsert_batch(points.clone()).unwrap();
+        for p in &points {
+            per_point.upsert(p.clone()).unwrap();
+        }
 
         let block = PointBlock::from_points(&points).unwrap();
         let columnar = LocalCollection::new(config);

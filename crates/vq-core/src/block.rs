@@ -254,8 +254,8 @@ impl PointBlock {
         (0..self.len()).map(move |i| (self.id(i), self.vector(i), self.payload(i)))
     }
 
-    /// Re-materialize the view as row-oriented points (the reference
-    /// representation; used by tests and by the per-point fallback path).
+    /// Re-materialize the view as row-oriented points (the inverse of
+    /// [`Self::from_points`]).
     pub fn to_points(&self) -> Vec<Point> {
         self.iter()
             .map(|(id, v, p)| Point::with_payload(id, v.to_vec(), p.clone()))

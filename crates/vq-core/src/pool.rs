@@ -1,9 +1,8 @@
 //! Work-stealing search-execution pools.
 //!
-//! The execution layer that replaces "everything on one global rayon
-//! pool". An [`ExecPool`] is a small fixed set of worker threads, each
-//! with its own task deque, plus a bounded injection queue for external
-//! one-shot jobs. Idle workers steal from their siblings before touching
+//! The search execution layer. An [`ExecPool`] is a small fixed set of
+//! worker threads, each with its own task deque, plus a bounded
+//! injection queue for external one-shot jobs. Idle workers steal from their siblings before touching
 //! the injector, so a shard whose queries arrive in bursts keeps all of
 //! its pool busy without a central lock on the hot path.
 //!
@@ -20,9 +19,8 @@
 //!
 //! [`ExecCtx`] is the cheap handle threaded through search entry points
 //! (cluster worker → collection → segment → index scan) so chunk sizing
-//! uses the *executing* pool's width instead of
-//! `rayon::current_num_threads()` — the nested-parallelism mis-sizing
-//! this layer exists to fix.
+//! uses the *executing* pool's width, not the node's core count — the
+//! nested-parallelism mis-sizing this layer exists to fix.
 //!
 //! Per-pool observability (all via `vq-obs`, aggregate and labeled by
 //! pool id): `pool.tasks`, `pool.steals`, `pool.injected`,
@@ -47,8 +45,8 @@ pub struct PoolConfig {
     /// `sched_setaffinity` calls leave the thread floating.
     pub pin_cores: Option<Vec<usize>>,
     /// Width advertised to chunk-sizing callers. Defaults to `threads`;
-    /// the paradox experiment sets it wider to reproduce the legacy
-    /// "chunks sized for the whole node" mis-sizing on a narrow pool.
+    /// the paradox experiment sets it wider to reproduce "chunks sized
+    /// for the whole node" mis-sizing on a narrow pool.
     pub advertised_width: Option<usize>,
 }
 
@@ -615,12 +613,8 @@ pub fn pin_current_thread(_core: usize) -> bool {
 /// Execution context threaded through search entry points. Cheap to
 /// clone; decides *where* a chunked scan runs and *how wide* its chunks
 /// should be.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub enum ExecCtx {
-    /// The consuming crate's ambient parallel runtime (the legacy global
-    /// rayon pool in vq-index). Width is resolved by the consumer.
-    #[default]
-    Ambient,
     /// Single-threaded, in place.
     Serial,
     /// A dedicated [`ExecPool`].
@@ -633,21 +627,12 @@ impl ExecCtx {
         ExecCtx::Pool(pool)
     }
 
-    /// Chunk-sizing width, when this context knows it (`None` for
-    /// [`ExecCtx::Ambient`] — the consumer asks its own runtime).
-    pub fn width_hint(&self) -> Option<usize> {
+    /// Chunk-sizing width: 1 in place, the pool's advertised width on a
+    /// pool.
+    pub fn width_hint(&self) -> usize {
         match self {
-            ExecCtx::Ambient => None,
-            ExecCtx::Serial => Some(1),
-            ExecCtx::Pool(p) => Some(p.advertised_width()),
-        }
-    }
-
-    /// The dedicated pool, when this context carries one.
-    pub fn as_pool(&self) -> Option<&Arc<ExecPool>> {
-        match self {
-            ExecCtx::Pool(p) => Some(p),
-            _ => None,
+            ExecCtx::Serial => 1,
+            ExecCtx::Pool(p) => p.advertised_width(),
         }
     }
 }
@@ -822,14 +807,12 @@ mod tests {
 
     #[test]
     fn exec_ctx_width_hints() {
-        assert_eq!(ExecCtx::Ambient.width_hint(), None);
-        assert_eq!(ExecCtx::Serial.width_hint(), Some(1));
+        assert_eq!(ExecCtx::Serial.width_hint(), 1);
         let pool = ExecPool::new(PoolConfig::new(3));
         let ctx = ExecCtx::pool(pool.clone());
-        assert_eq!(ctx.width_hint(), Some(3));
-        assert!(ctx.as_pool().is_some());
+        assert_eq!(ctx.width_hint(), 3);
         let wide = ExecPool::new(PoolConfig::new(2).advertised_width(16));
-        assert_eq!(ExecCtx::pool(wide.clone()).width_hint(), Some(16));
+        assert_eq!(ExecCtx::pool(wide.clone()).width_hint(), 16);
         pool.shutdown();
         wide.shutdown();
     }

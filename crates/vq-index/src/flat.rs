@@ -9,16 +9,15 @@
 //! 2. the ground-truth oracle for recall measurements, and
 //! 3. the baseline in the index-family ablation.
 //!
-//! Scans parallelize over rayon with a per-chunk [`TopK`] and a final
-//! merge, which is the textbook reduction for top-k selection.
+//! Scans on a pool context fan out with a per-chunk [`TopK`] and a
+//! final merge, which is the textbook reduction for top-k selection.
 
 use crate::source::VectorSource;
 use crate::{OffsetFilter, OffsetHit};
-use rayon::prelude::*;
 use vq_core::{Distance, ExecCtx, ScoredPoint, TopK};
 
-/// Minimum number of vectors before a scan bothers with rayon; below this
-/// the spawn overhead exceeds the scan cost.
+/// Minimum number of vectors before a scan fans out; below this the
+/// dispatch overhead exceeds the scan cost.
 const PARALLEL_THRESHOLD: usize = 4096;
 
 /// Exact scan "index". Stateless: it is a strategy over a [`VectorSource`].
@@ -38,10 +37,9 @@ impl FlatIndex {
         self.metric
     }
 
-    /// Exact top-`k` search over `source`, optionally filtered.
-    ///
-    /// Legacy entry point: scans on the ambient (global rayon) runtime.
-    /// Equivalent to `search_ctx(..., &ExecCtx::Ambient)`.
+    /// Exact top-`k` search over `source`, optionally filtered, on the
+    /// calling thread. Callers wanting fan-out pass a pool to
+    /// [`FlatIndex::search_ctx`].
     pub fn search<S: VectorSource>(
         &self,
         source: &S,
@@ -49,19 +47,16 @@ impl FlatIndex {
         k: usize,
         filter: Option<OffsetFilter<'_>>,
     ) -> Vec<OffsetHit> {
-        self.search_ctx(source, query, k, filter, &ExecCtx::Ambient)
+        self.search_ctx(source, query, k, filter, &ExecCtx::Serial)
     }
 
     /// Exact top-`k` search on an explicit execution context.
     ///
     /// Chunk sizing uses the *context's* width — a scan dispatched onto a
-    /// 2-thread shard pool cuts the data in 2, not in
-    /// `rayon::current_num_threads()` pieces. (The latter reports the
-    /// global pool even from inside a nested worker task, which is the
-    /// mis-sizing this parameter exists to fix.) Results are
-    /// bit-identical across contexts and chunk widths: every chunk keeps
-    /// a total-order [`TopK`] and the final `merge_top_k` breaks score
-    /// ties by id.
+    /// 2-thread shard pool cuts the data in 2, not in one piece per core
+    /// of the node. Results are bit-identical across contexts and chunk
+    /// widths: every chunk keeps a total-order [`TopK`] and the final
+    /// `merge_top_k` breaks score ties by id.
     pub fn search_ctx<S: VectorSource>(
         &self,
         source: &S,
@@ -75,25 +70,18 @@ impl FlatIndex {
             return Vec::new();
         }
         debug_assert_eq!(query.len(), source.dim());
-        let width = ctx
-            .width_hint()
-            .unwrap_or_else(|| rayon::current_num_threads())
-            .max(1);
-        if n < PARALLEL_THRESHOLD || width == 1 {
-            return self.scan_range(source, query, k, filter, 0, n);
-        }
+        let width = ctx.width_hint();
+        let pool = match ctx {
+            ExecCtx::Pool(pool) if n >= PARALLEL_THRESHOLD && width > 1 => pool,
+            _ => return self.scan_range(source, query, k, filter, 0, n),
+        };
         // Chunked parallel scan; each chunk keeps its own top-k, the
         // partials are merged at the end.
         let chunk = n.div_ceil(width);
-        let starts: Vec<usize> = (0..n).step_by(chunk).collect();
-        let scan = |start: usize| {
-            let end = (start + chunk).min(n);
-            self.scan_range(source, query, k, filter, start, end)
-        };
-        let partials: Vec<Vec<OffsetHit>> = match ctx {
-            ExecCtx::Pool(pool) => pool.scope_map(starts.len(), |i| scan(starts[i])),
-            _ => starts.par_iter().map(|&start| scan(start)).collect(),
-        };
+        let partials: Vec<Vec<OffsetHit>> = pool.scope_map(n.div_ceil(chunk), |i| {
+            let start = i * chunk;
+            self.scan_range(source, query, k, filter, start, (start + chunk).min(n))
+        });
         let lists: Vec<Vec<ScoredPoint>> = partials
             .into_iter()
             .map(|hits| {
@@ -207,7 +195,9 @@ mod tests {
         }
         let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let idx = FlatIndex::new(Distance::Cosine);
-        let par = idx.search(&s, &q, 10, None);
+        let pool = vq_core::ExecPool::new(vq_core::PoolConfig::new(3));
+        let par = idx.search_ctx(&s, &q, 10, None, &ExecCtx::pool(pool.clone()));
+        pool.shutdown();
         let seq = idx.scan_range(&s, &q, 10, None, 0, n);
         assert_eq!(par, seq);
     }

@@ -154,10 +154,10 @@ impl IvfIndex {
 
     /// Top-`k` search on an explicit execution context.
     ///
-    /// A probe scan is sequential by default (the legacy behaviour —
-    /// list members are scattered, and one query's probes rarely justify
-    /// a fork). On a [`vq_core::ExecPool`] context with enough probed
-    /// members, each probed list is scanned as its own task with a
+    /// A probe scan is sequential by default (list members are
+    /// scattered, and one query's probes rarely justify a fork). On a
+    /// [`vq_core::ExecPool`] context with enough probed members, each
+    /// probed list is scanned as its own task with a
     /// private [`TopK`] and the partials merge deterministically — the
     /// result is bit-identical to the sequential scan because both
     /// select under the same total order.

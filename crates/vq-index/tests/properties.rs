@@ -1,7 +1,7 @@
 //! Property-based tests for the index family: structural invariants on
 //! arbitrary data, agreement with the exact reference, codec totality,
 //! and execution-context equivalence (pool scans bit-identical to the
-//! serial and ambient-rayon paths at any width).
+//! serial path at any width).
 
 use proptest::prelude::*;
 use vq_core::{Distance, ExecCtx, ExecPool, PoolConfig};
@@ -249,10 +249,10 @@ proptest! {
 }
 
 // Execution-context equivalence: the per-shard pool path must return
-// results bit-identical (offsets, order, score bits) to the legacy
-// serial and ambient-rayon paths, at every pool width and under
-// advertised-width overrides — the invariant the paradox experiment's
-// before/after comparison rests on. Datasets sit above the
+// results bit-identical (offsets, order, score bits) to the serial
+// path, at every pool width and under advertised-width overrides — the
+// invariant the paradox experiment's colocated/partitioned comparison
+// rests on. Datasets sit above the
 // parallel-scan thresholds so the pool paths genuinely fork, and are
 // tie-heavy so the id tie-break carries real weight. Both kernel
 // dispatch tiers are covered: CI runs this suite again under
@@ -271,8 +271,6 @@ proptest! {
         let q: Vec<f32> = (0..8).map(|i| (i as f32 * 0.25) - 1.0).collect();
         let flat = FlatIndex::new(Distance::Euclid);
         let want = flat.search_ctx(&s, &q, k, None, &ExecCtx::Serial);
-        let ambient = flat.search(&s, &q, k, None);
-        assert_bit_identical(&ambient, &want, "flat ambient-rayon vs serial");
         let pool = ExecPool::new(PoolConfig::new(width));
         let got = flat.search_ctx(&s, &q, k, None, &ExecCtx::pool(pool.clone()));
         assert_bit_identical(&got, &want, "flat pool vs serial");
@@ -302,8 +300,6 @@ proptest! {
         let idx = IvfIndex::build(&s, Distance::Euclid, IvfConfig::with_nlist(nlist).seed(11));
         let nl = idx.config().nlist;
         let want = idx.search_ctx(&s, &q, 13, Some(nl), None, &ExecCtx::Serial);
-        let legacy = idx.search(&s, &q, 13, Some(nl), None);
-        assert_bit_identical(&legacy, &want, "ivf legacy vs serial ctx");
         let pool = ExecPool::new(PoolConfig::new(width));
         let got = idx.search_ctx(&s, &q, 13, Some(nl), None, &ExecCtx::pool(pool.clone()));
         assert_bit_identical(&got, &want, "ivf pool vs serial");
@@ -326,8 +322,6 @@ proptest! {
         let q: Vec<f32> = (0..8).map(|i| (i as f32 * 0.3) - 1.0).collect();
         let pq = PqCodec::build(&s, Distance::Euclid, PqConfig::with_m(4).ks(16).seed(7));
         let want = pq.search_ctx(&q, k, None, None, &ExecCtx::Serial);
-        let legacy = pq.search(&q, k, None, None);
-        assert_bit_identical(&legacy, &want, "pq legacy vs serial ctx");
         let pool = ExecPool::new(PoolConfig::new(width));
         let got = pq.search_ctx(&q, k, None, None, &ExecCtx::pool(pool.clone()));
         assert_bit_identical(&got, &want, "pq pool vs serial");

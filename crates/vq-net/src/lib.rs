@@ -44,4 +44,4 @@ pub use tcp::{TcpEndpoint, TcpTransport};
 pub use transport::{
     Endpoint, Envelope, Switchboard, Transport, TransportEndpoint, TransportStats,
 };
-pub use wire::{MIN_WIRE_VERSION, WIRE_VERSION};
+pub use wire::WIRE_VERSION;

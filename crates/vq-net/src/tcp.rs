@@ -36,6 +36,11 @@ use vq_core::{VqError, VqResult};
 /// acknowledgement before crashing the destination anyway.
 const FLUSH_ACK_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// How often an idle writer checks that its peer is still registered.
+/// Coordinated searches register and drop an ephemeral gather endpoint
+/// each; a writer toward one must not outlive it by more than this.
+const WRITER_IDLE_CHECK: Duration = Duration::from_millis(100);
+
 /// Message bounds for moving `M` over a socket.
 pub trait WireMsg: Clone + Send + Serialize + DeserializeOwned + 'static {}
 impl<M: Clone + Send + Serialize + DeserializeOwned + 'static> WireMsg for M {}
@@ -44,17 +49,18 @@ impl<M: Clone + Send + Serialize + DeserializeOwned + 'static> WireMsg for M {}
 struct ListenerCtl {
     addr: SocketAddr,
     closing: AtomicBool,
-    /// Clones of accepted streams, kept so teardown can shut readers down
+    /// A clone of every accepted stream whose reader is still running,
+    /// by connection number, kept so teardown can shut readers down
     /// mid-`read` (dropping a `TcpStream` elsewhere does not wake a
-    /// blocked reader).
-    accepted: Mutex<Vec<TcpStream>>,
+    /// blocked reader). A reader removes its entry when it exits.
+    accepted: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl ListenerCtl {
     /// Stop the accept loop and sever every accepted connection.
     fn close(&self) {
         self.closing.store(true, Relaxed);
-        for stream in self.accepted.lock().drain(..) {
+        for (_, stream) in self.accepted.lock().drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         // Wake the acceptor so it observes `closing`.
@@ -132,7 +138,7 @@ impl TcpTransport {
         let ctl = Arc::new(ListenerCtl {
             addr,
             closing: AtomicBool::new(false),
-            accepted: Mutex::new(Vec::new()),
+            accepted: Mutex::new(HashMap::new()),
         });
         let (tx, rx) = unbounded::<Envelope<M>>();
         {
@@ -223,7 +229,7 @@ impl Default for TcpTransport {
 
 /// Accept connections for one endpoint and pump their frames inbox-ward.
 fn accept_loop<M: WireMsg>(listener: TcpListener, ctl: Arc<ListenerCtl>, tx: Sender<Envelope<M>>) {
-    loop {
+    for conn in 0u64.. {
         let (stream, _) = match listener.accept() {
             Ok(pair) => pair,
             Err(_) => {
@@ -237,19 +243,22 @@ fn accept_loop<M: WireMsg>(listener: TcpListener, ctl: Arc<ListenerCtl>, tx: Sen
             return;
         }
         if let Ok(clone) = stream.try_clone() {
-            ctl.accepted.lock().push(clone);
+            ctl.accepted.lock().insert(conn, clone);
         }
         let tx = tx.clone();
         let ctl = ctl.clone();
         std::thread::Builder::new()
             .name("vq-tcp-read".into())
-            .spawn(move || read_loop(stream, ctl, tx))
+            .spawn(move || {
+                read_loop(stream, &ctl, tx);
+                ctl.accepted.lock().remove(&conn);
+            })
             .expect("spawn reader");
     }
 }
 
 /// Decode frames off one connection until EOF, error, or teardown.
-fn read_loop<M: WireMsg>(mut stream: TcpStream, ctl: Arc<ListenerCtl>, tx: Sender<Envelope<M>>) {
+fn read_loop<M: WireMsg>(mut stream: TcpStream, ctl: &ListenerCtl, tx: Sender<Envelope<M>>) {
     loop {
         match wire::read_frame(&mut stream) {
             Ok(Some(payload)) => match wire::from_bytes::<(u32, u32, M)>(&payload) {
@@ -304,10 +313,24 @@ struct PeerLink {
 }
 
 /// Writer thread: owns the connection to one peer, connecting lazily and
-/// reconnecting once per job on a broken pipe.
+/// reconnecting once per job on a broken pipe. Exits (marking the link
+/// dead, so the next send replaces it) when a write fails or when it
+/// finds itself idle with the peer no longer registered.
 fn write_loop(shared: Arc<Shared>, peer: u32, jobs: Receiver<WriteJob>, dead: Arc<AtomicBool>) {
+    use crossbeam::channel::RecvTimeoutError;
     let mut stream: Option<(SocketAddr, TcpStream)> = None;
-    while let Ok(job) = jobs.recv() {
+    loop {
+        let job = match jobs.recv_timeout(WRITER_IDLE_CHECK) {
+            Ok(job) => job,
+            Err(RecvTimeoutError::Timeout) if shared.registry.read().contains_key(&peer) => {
+                continue;
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                dead.store(true, Relaxed);
+                return;
+            }
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
         let mut ok = false;
         for _attempt in 0..2 {
             let addr = shared.registry.read().get(&peer).map(|r| r.addr);
@@ -365,9 +388,9 @@ impl<M: WireMsg> TcpEndpoint<M> {
     /// requested.
     fn enqueue(&self, to: u32, frame: Vec<u8>, want_ack: bool) -> VqResult<Option<Receiver<bool>>> {
         let mut links = self.links.lock();
-        if links.get(&to).is_some_and(|l| l.dead.load(Relaxed)) {
-            links.remove(&to);
-        }
+        // Links whose writer gave up (failed write, peer deregistered) are
+        // dropped here, whichever peer they were for.
+        links.retain(|_, l| !l.dead.load(Relaxed));
         let link = links.entry(to).or_insert_with(|| {
             let (tx, rx) = unbounded();
             let dead = Arc::new(AtomicBool::new(false));

@@ -36,17 +36,10 @@ use std::fmt;
 use std::io::{Read, Write};
 use vq_core::{VqError, VqResult};
 
-/// Codec version carried in every frame header. Version 2 added the
-/// optional trace-context field to the `ClusterMsg` request envelope;
-/// version 3 added the `Heartbeat` envelope variant for the failure
-/// detector. Because structs encode field-by-name (absent fields fall
-/// back to `#[serde(default)]`) and enum variants encode by name,
-/// version-1/2 payloads still decode — the receiver accepts any version
-/// in [`MIN_WIRE_VERSION`]..=[`WIRE_VERSION`].
+/// Codec version carried in every frame header. There is no deployed
+/// peer on an older protocol, so the receiver accepts exactly this
+/// version and refuses anything else.
 pub const WIRE_VERSION: u8 = 3;
-
-/// Oldest frame version this build still decodes.
-pub const MIN_WIRE_VERSION: u8 = 1;
 
 /// Frame magic: rejects cross-protocol garbage (e.g. an HTTP request sent
 /// to the binary port) on the first four bytes.
@@ -135,9 +128,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> VqResult<Option<Vec<u8>>> {
     if header[..4] != FRAME_MAGIC {
         return Err(VqError::Corruption("bad frame magic".into()));
     }
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&header[4]) {
+    if header[4] != WIRE_VERSION {
         return Err(VqError::Corruption(format!(
-            "wire version mismatch: got {}, expected {MIN_WIRE_VERSION}..={WIRE_VERSION}",
+            "wire version mismatch: got {}, expected {WIRE_VERSION}",
             header[4]
         )));
     }
@@ -1625,13 +1618,15 @@ mod tests {
             read_frame(&mut &garbage[..]),
             Err(VqError::Corruption(_))
         ));
-        // Version skew: future versions rejected, pre-MIN rejected.
-        let mut skew = frame.clone();
-        skew[4] = 99;
-        assert!(matches!(read_frame(&mut &skew[..]), Err(VqError::Corruption(_))));
-        let mut ancient = frame.clone();
-        ancient[4] = MIN_WIRE_VERSION - 1;
-        assert!(matches!(read_frame(&mut &ancient[..]), Err(VqError::Corruption(_))));
+        // Version skew: anything but this build's version is rejected.
+        for version in [0, WIRE_VERSION - 1, WIRE_VERSION + 1, 99] {
+            let mut skew = frame.clone();
+            skew[4] = version;
+            assert!(
+                matches!(read_frame(&mut &skew[..]), Err(VqError::Corruption(_))),
+                "version {version}"
+            );
+        }
         // Flipped payload bit fails the CRC.
         let mut flipped = frame.clone();
         let last = flipped.len() - 1;
@@ -1644,23 +1639,6 @@ mod tests {
         let mut huge = frame;
         huge[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(read_frame(&mut &huge[..]), Err(VqError::Corruption(_))));
-    }
-
-    #[test]
-    fn older_wire_versions_still_decode() {
-        // A peer running the previous codec stamps version 1; this build
-        // must still read its frames (value-level compat is serde's
-        // field-by-name + #[serde(default)] job).
-        let mut frame = encode_frame(b"old peer payload");
-        frame[4] = MIN_WIRE_VERSION;
-        let back = read_frame(&mut &frame[..]).unwrap().unwrap();
-        assert_eq!(back, b"old peer payload");
-        // And every version in the accepted window decodes.
-        for v in MIN_WIRE_VERSION..=WIRE_VERSION {
-            let mut f = encode_frame(b"x");
-            f[4] = v;
-            assert!(read_frame(&mut &f[..]).unwrap().is_some(), "version {v}");
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Exporters: hand-rolled JSON and Prometheus text, zero dependencies.
 //!
-//! The JSON form is what `repro live`/`repro ingest` embed into
+//! The JSON form is what `repro live` embeds into
 //! `results/*.json` (callers with serde parse it into a `Value`); the
 //! Prometheus text form is what the `vq` CLI serves/prints for scrape
 //! pipelines.

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use vq_cluster::{Cluster, ClusterClient, ClusterMsg};
 use vq_collection::{CollectionConfig, CollectionStats, SearchRequest};
-use vq_core::{Point, PointBlock, ScoredPoint, VqError, VqResult};
+use vq_core::{PointBlock, ScoredPoint, VqError, VqResult};
 use vq_net::Transport;
 
 /// One served collection: the operations the REST and binary frontends
@@ -21,9 +21,7 @@ use vq_net::Transport;
 pub trait Backend: Send + Sync {
     /// Collection parameters (dimension, metric, …).
     fn config(&self) -> CollectionConfig;
-    /// Upsert points; returns how many were written.
-    fn upsert(&self, points: Vec<Point>) -> VqResult<usize>;
-    /// Upsert a columnar block (the binary protocol's zero-copy path).
+    /// Upsert a columnar block; returns how many rows were written.
     fn upsert_block(&self, block: Arc<PointBlock>) -> VqResult<usize>;
     /// Broadcast–reduce search.
     fn search(&self, request: SearchRequest) -> VqResult<Vec<ScoredPoint>>;
@@ -67,12 +65,6 @@ impl<T: Transport<ClusterMsg>> ClusterBackend<T> {
 impl<T: Transport<ClusterMsg>> Backend for ClusterBackend<T> {
     fn config(&self) -> CollectionConfig {
         *self.cluster.collection_config()
-    }
-
-    fn upsert(&self, points: Vec<Point>) -> VqResult<usize> {
-        let n = points.len();
-        self.with_client(|c| c.upsert_batch(points))?;
-        Ok(n)
     }
 
     fn upsert_block(&self, block: Arc<PointBlock>) -> VqResult<usize> {

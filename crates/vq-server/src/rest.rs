@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vq_collection::{CollectionConfig, SearchRequest};
-use vq_core::{Distance, Payload, PayloadValue, Point, ScoredPoint, VqError};
+use vq_core::{Distance, Payload, PayloadValue, Point, PointBlock, ScoredPoint, VqError};
 
 use crate::backend::Registry;
 use crate::http::{HttpRequest, HttpResponse};
@@ -403,7 +403,11 @@ fn put_points(
             Err(e) => return envelope_err(400, &e, started),
         }
     }
-    match backend.upsert(points) {
+    // Row-wise JSON points become one columnar block here; below the
+    // API boundary a write is always a `PointBlock`.
+    let written = PointBlock::from_points(&points)
+        .and_then(|block| backend.upsert_block(Arc::new(block)));
+    match written {
         Ok(n) => {
             vq_obs::count("server.rest_points_upserted", n as u64);
             envelope_ok(
@@ -446,6 +450,7 @@ fn post_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Backend;
 
     #[test]
     fn json_escape_handles_specials() {
@@ -531,6 +536,50 @@ mod tests {
         assert!(finished
             .iter()
             .any(|t| t.trace_id == 0xab && t.root_name == "rest_edge"));
+    }
+
+    #[test]
+    fn put_points_rejects_bad_dims_and_writes_nothing() {
+        let cluster = vq_cluster::Cluster::start(
+            vq_cluster::ClusterConfig::new(2).shards(4),
+            CollectionConfig::new(3, Distance::Euclid),
+        )
+        .expect("cluster start");
+        let backend = Arc::new(crate::ClusterBackend::new(cluster.clone()));
+        let registry = Arc::new(Registry::new());
+        registry.insert("c", backend.clone());
+        let put = |rows: Vec<String>| {
+            route(
+                &registry,
+                &HttpRequest {
+                    method: "PUT".to_string(),
+                    path: "/collections/c/points".to_string(),
+                    query: String::new(),
+                    headers: Vec::new(),
+                    body: format!("{{\"points\":[{}]}}", rows.join(",")).into_bytes(),
+                },
+            )
+        };
+        let rows = |ids: std::ops::RangeInclusive<u64>, dim: usize| -> Vec<String> {
+            ids.map(|id| format!("{{\"id\":{id},\"vector\":{:?}}}", vec![1.0f32; dim]))
+                .collect()
+        };
+        // Every row the wrong dim; a bad row after good ones (which land
+        // on other shards); a bad row first.
+        for batch in [
+            rows(1..=8, 2),
+            [rows(1..=8, 3), rows(9..=9, 2)].concat(),
+            [rows(9..=9, 2), rows(1..=8, 3)].concat(),
+        ] {
+            let response = put(batch);
+            assert_eq!(response.status, 400);
+            let body = String::from_utf8(response.body).unwrap();
+            assert!(body.contains("dimension mismatch"), "{body}");
+            assert_eq!(backend.count().unwrap(), 0, "a rejected batch writes nothing");
+        }
+        assert_eq!(put(rows(1..=8, 3)).status, 200);
+        assert_eq!(backend.count().unwrap(), 8);
+        cluster.shutdown();
     }
 
     #[test]

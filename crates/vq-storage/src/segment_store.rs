@@ -74,7 +74,9 @@ impl SegmentStore {
         self.arena.len() * self.dim() * 4 + self.payloads.approx_bytes()
     }
 
-    /// Insert or replace a point.
+    /// Insert or replace one point: the storage-level reference
+    /// [`Self::upsert_block`] is tested against (and what segment
+    /// rewrites use); collection writes arrive as blocks.
     pub fn upsert(&mut self, point: Point) -> VqResult<()> {
         if self.sealed {
             return Err(VqError::InvalidRequest("segment is sealed".into()));
@@ -133,8 +135,8 @@ impl SegmentStore {
 
     /// Normalize the stored vectors at offsets `[first, first + n)` in
     /// place. The cosine ingest path bulk-copies raw block slabs and then
-    /// fixes them up here with the same kernel the per-point path applies
-    /// before insertion, so the resulting bits are identical.
+    /// fixes them up here, row by row, so the resulting bits do not
+    /// depend on how rows were grouped into blocks.
     pub fn normalize_range(&mut self, first: u32, n: usize) -> VqResult<()> {
         if self.sealed {
             return Err(VqError::InvalidRequest("segment is sealed".into()));
@@ -161,7 +163,6 @@ impl SegmentStore {
     /// Apply a logical WAL record (live path and replay share this).
     pub fn apply(&mut self, record: WalRecord) -> VqResult<()> {
         match record {
-            WalRecord::Upsert(p) => self.upsert(p),
             WalRecord::UpsertBlock(b) => self.upsert_block(&b).map(|_| ()),
             WalRecord::Delete(id) => self.delete(id),
             // Segment-lifecycle markers are interpreted a level up (the
@@ -262,6 +263,11 @@ pub struct SegmentSnapshot {
 mod tests {
     use super::*;
     use crate::wal::Wal;
+
+    /// A one-row block record.
+    fn upsert_record(p: Point) -> WalRecord {
+        WalRecord::UpsertBlock(vq_core::PointBlock::from_points(&[p]).unwrap())
+    }
 
     fn point(id: PointId, x: f32) -> Point {
         Point::with_payload(
@@ -384,42 +390,16 @@ mod tests {
     }
 
     #[test]
-    fn block_replay_reconstructs_state() {
-        let points: Vec<Point> = (0..4).map(|i| point(i, i as f32)).collect();
+    fn wal_replay_reconstructs_state() {
+        let points: Vec<Point> = (1..=4).map(|i| point(i, i as f32)).collect();
         let block = vq_core::PointBlock::from_points(&points).unwrap();
         let mut wal = Wal::in_memory();
         let mut live = SegmentStore::new(2);
         for rec in [
             WalRecord::UpsertBlock(block),
-            WalRecord::Delete(2),
-            WalRecord::Upsert(point(7, 9.0)),
-        ] {
-            wal.append(&rec).unwrap();
-            live.apply(rec).unwrap();
-        }
-        let mut recovered = SegmentStore::new(2);
-        for rec in wal.replay().unwrap() {
-            recovered.apply(rec).unwrap();
-        }
-        let a = recovered.snapshot();
-        let b = live.snapshot();
-        assert_eq!(a.vectors, b.vectors);
-        assert_eq!(a.ids, b.ids);
-        assert_eq!(a.payloads, b.payloads);
-        assert_eq!(recovered.get(2), None);
-        assert_eq!(recovered.live_count(), 4);
-    }
-
-    #[test]
-    fn wal_replay_reconstructs_state() {
-        let mut wal = Wal::in_memory();
-        let mut live = SegmentStore::new(2);
-        for rec in [
-            WalRecord::Upsert(point(1, 0.0)),
-            WalRecord::Upsert(point(2, 1.0)),
             WalRecord::Delete(1),
-            WalRecord::Upsert(point(3, 2.0)),
-            WalRecord::Upsert(point(2, 7.0)),
+            upsert_record(point(5, 2.0)),
+            upsert_record(point(2, 7.0)), // replaces a row of the block
         ] {
             wal.append(&rec).unwrap();
             live.apply(rec).unwrap();
@@ -429,10 +409,13 @@ mod tests {
         for rec in wal.replay().unwrap() {
             recovered.apply(rec).unwrap();
         }
-        assert_eq!(recovered.live_count(), live.live_count());
-        assert_eq!(recovered.get(1), live.get(1));
-        assert_eq!(recovered.get(2), live.get(2));
-        assert_eq!(recovered.get(3), live.get(3));
+        let a = recovered.snapshot();
+        let b = live.snapshot();
+        assert_eq!(a.vectors, b.vectors);
+        assert_eq!(a.ids, b.ids);
+        assert_eq!(a.payloads, b.payloads);
+        assert_eq!(recovered.get(1), None);
+        assert_eq!(recovered.live_count(), 4);
         assert_eq!(recovered.get(2).unwrap().vector, vec![7.0, 8.0]);
     }
 

@@ -20,17 +20,14 @@
 
 use crate::crc::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use vq_core::{Payload, PayloadValue, Point, PointBlock, PointId, VqError, VqResult};
+use vq_core::{Payload, PayloadValue, PointBlock, PointId, VqError, VqResult};
 
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// Insert-or-replace a point.
-    Upsert(Point),
     /// Insert-or-replace a whole columnar batch in one record (group
     /// commit): the block's rows are framed, checksummed, and synced
-    /// together, so durability costs are paid once per block instead of
-    /// once per point.
+    /// together, so durability costs are paid once per block.
     UpsertBlock(PointBlock),
     /// Delete a point by id.
     Delete(PointId),
@@ -46,7 +43,6 @@ pub enum WalRecord {
     },
 }
 
-const TAG_UPSERT: u8 = 1;
 const TAG_DELETE: u8 = 2;
 const TAG_SEAL: u8 = 3;
 const TAG_INDEX_BUILT: u8 = 4;
@@ -57,15 +53,6 @@ impl WalRecord {
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
         match self {
-            WalRecord::Upsert(p) => {
-                buf.put_u8(TAG_UPSERT);
-                buf.put_u64_le(p.id);
-                buf.put_u32_le(p.vector.len() as u32);
-                for &x in &p.vector {
-                    buf.put_f32_le(x);
-                }
-                encode_payload(&mut buf, &p.payload);
-            }
             WalRecord::UpsertBlock(block) => {
                 buf.put_u8(TAG_UPSERT_BLOCK);
                 buf.put_u32_le(block.dim() as u32);
@@ -117,22 +104,6 @@ impl WalRecord {
         }
         let tag = buf.get_u8();
         match tag {
-            TAG_UPSERT => {
-                if buf.remaining() < 12 {
-                    return Err(VqError::Corruption("truncated upsert header".into()));
-                }
-                let id = buf.get_u64_le();
-                let dim = buf.get_u32_le() as usize;
-                if buf.remaining() < dim * 4 {
-                    return Err(VqError::Corruption("truncated upsert vector".into()));
-                }
-                let mut vector = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    vector.push(buf.get_f32_le());
-                }
-                let payload = decode_payload(&mut buf)?;
-                Ok(WalRecord::Upsert(Point::with_payload(id, vector, payload)))
-            }
             TAG_UPSERT_BLOCK => {
                 if buf.remaining() < 8 {
                     return Err(VqError::Corruption("truncated block header".into()));
@@ -502,10 +473,11 @@ impl WalBackend for FileBackend {
 ///
 /// ```
 /// use vq_storage::{Wal, WalRecord};
-/// use vq_core::Point;
+/// use vq_core::{Point, PointBlock};
 ///
 /// let mut wal = Wal::in_memory();
-/// wal.append(&WalRecord::Upsert(Point::new(1, vec![0.5, 0.5]))).unwrap();
+/// let block = PointBlock::from_points(&[Point::new(1, vec![0.5, 0.5])]).unwrap();
+/// wal.append(&WalRecord::UpsertBlock(block)).unwrap();
 /// wal.append(&WalRecord::Delete(1)).unwrap();
 /// let replayed = wal.replay().unwrap();
 /// assert_eq!(replayed.len(), 2);
@@ -571,10 +543,9 @@ impl Wal {
     /// Append one record (framed + checksummed) and sync it durable.
     ///
     /// Every append is its own durability point, so the sync count equals
-    /// the *record* count: per-point ingest pays one sync per point, while
-    /// block ingest ([`WalRecord::UpsertBlock`]) group-commits a whole
-    /// batch under a single sync. [`Self::synced_batches`] exposes the
-    /// counter so tests can pin that accounting.
+    /// the *record* count: a [`WalRecord::UpsertBlock`] group-commits a
+    /// whole batch under a single sync. [`Self::synced_batches`] exposes
+    /// the counter so tests can pin that accounting.
     pub fn append(&mut self, record: &WalRecord) -> VqResult<()> {
         if !self.tail_checked {
             self.repair_torn_tail()?;
@@ -662,6 +633,12 @@ impl std::fmt::Debug for Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vq_core::Point;
+
+    /// A one-row block record.
+    fn upsert(point: Point) -> WalRecord {
+        WalRecord::UpsertBlock(PointBlock::from_points(&[point]).unwrap())
+    }
 
     fn sample_point() -> Point {
         Point::with_payload(
@@ -674,7 +651,7 @@ mod tests {
     #[test]
     fn record_codec_roundtrip() {
         for rec in [
-            WalRecord::Upsert(sample_point()),
+            upsert(sample_point()),
             WalRecord::Delete(7),
             WalRecord::SealSegment { segment_seq: 3 },
             WalRecord::IndexBuilt { segment_seq: 3 },
@@ -695,7 +672,7 @@ mod tests {
             "k",
             PayloadValue::Keywords(vec!["a".into(), "b".into()]),
         );
-        let rec = WalRecord::Upsert(Point::with_payload(1, vec![0.0], p));
+        let rec = upsert(Point::with_payload(1, vec![0.0], p));
         let enc = rec.encode();
         assert_eq!(WalRecord::decode(&enc).unwrap(), rec);
     }
@@ -728,12 +705,12 @@ mod tests {
     fn sync_count_is_per_record_group_commit() {
         let mut wal = Wal::in_memory();
         assert_eq!(wal.synced_batches(), 0);
-        // Per-point ingest: one sync per point.
+        // One-row blocks: one sync per row.
         for i in 0..3 {
-            wal.append(&WalRecord::Upsert(Point::new(i, vec![0.0]))).unwrap();
+            wal.append(&upsert(Point::new(i, vec![0.0]))).unwrap();
         }
         assert_eq!(wal.synced_batches(), 3);
-        // Block ingest: 100 points, ONE sync.
+        // A 100-row block: ONE sync.
         let points: Vec<Point> = (0..100).map(|i| Point::new(100 + i, vec![1.0])).collect();
         let block = PointBlock::from_points(&points).unwrap();
         wal.append(&WalRecord::UpsertBlock(block)).unwrap();
@@ -765,7 +742,7 @@ mod tests {
     #[test]
     fn append_replay_in_memory() {
         let mut wal = Wal::in_memory();
-        wal.append(&WalRecord::Upsert(sample_point())).unwrap();
+        wal.append(&upsert(sample_point())).unwrap();
         wal.append(&WalRecord::Delete(42)).unwrap();
         let replayed = wal.replay().unwrap();
         assert_eq!(replayed.len(), 2);
@@ -875,13 +852,13 @@ mod tests {
         let shared = SharedBackend::new();
         {
             let mut wal = Wal::with_backend(Box::new(shared.clone()));
-            wal.append(&WalRecord::Upsert(sample_point())).unwrap();
+            wal.append(&upsert(sample_point())).unwrap();
             // Writer "dies" here; the shared buffer is the durable copy.
         }
         let recovered = Wal::with_backend(Box::new(shared));
         assert_eq!(
             recovered.replay().unwrap(),
-            vec![WalRecord::Upsert(sample_point())]
+            vec![upsert(sample_point())]
         );
     }
 
@@ -915,7 +892,7 @@ mod tests {
         {
             let backend = FileBackend::open(&path).unwrap();
             let mut wal = Wal::with_backend(Box::new(backend));
-            wal.append(&WalRecord::Upsert(sample_point())).unwrap();
+            wal.append(&upsert(sample_point())).unwrap();
             wal.append(&WalRecord::SealSegment { segment_seq: 1 }).unwrap();
             // Wal drops; BufWriter flushes on drop.
         }
@@ -924,7 +901,7 @@ mod tests {
             let wal = Wal::with_backend(Box::new(backend));
             let replayed = wal.replay().unwrap();
             assert_eq!(replayed.len(), 2);
-            assert_eq!(replayed[0], WalRecord::Upsert(sample_point()));
+            assert_eq!(replayed[0], upsert(sample_point()));
         }
         std::fs::remove_file(&path).unwrap();
     }

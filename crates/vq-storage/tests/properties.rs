@@ -2,7 +2,7 @@
 //! live-state, id-tracker-vs-model, arena-vs-Vec.
 
 use proptest::prelude::*;
-use vq_core::{Payload, PayloadValue, Point, PointId};
+use vq_core::{Payload, PayloadValue, Point, PointBlock, PointId};
 use vq_storage::{PagedArena, SegmentStore, Wal, WalRecord};
 
 fn arb_payload_value() -> impl Strategy<Value = PayloadValue> {
@@ -22,6 +22,11 @@ fn arb_point(dim: usize) -> impl Strategy<Value = Point> {
         prop::collection::btree_map("[a-e]{1,3}", arb_payload_value(), 0..4),
     )
         .prop_map(|(id, vector, kv)| Point::with_payload(id, vector, Payload(kv)))
+}
+
+/// The WAL record for one upserted point: a one-row block.
+fn upsert_record(p: &Point) -> WalRecord {
+    WalRecord::UpsertBlock(PointBlock::from_points(std::slice::from_ref(p)).unwrap())
 }
 
 /// A random mutation against a segment store.
@@ -44,7 +49,7 @@ proptest! {
     #[test]
     fn wal_record_codec_total(p in arb_point(7)) {
         for rec in [
-            WalRecord::Upsert(p.clone()),
+            upsert_record(&p),
             WalRecord::Delete(p.id),
             WalRecord::SealSegment { segment_seq: p.id },
             WalRecord::IndexBuilt { segment_seq: p.id },
@@ -66,7 +71,7 @@ proptest! {
         let mut live = SegmentStore::new(5);
         for op in &ops {
             let rec = match op {
-                Op::Upsert(p) => WalRecord::Upsert(p.clone()),
+                Op::Upsert(p) => upsert_record(p),
                 Op::Delete(id) => WalRecord::Delete(*id),
             };
             // Apply to live state first; journal only successful ops
@@ -191,7 +196,7 @@ proptest! {
         // result must be a prefix of the appended records — never an
         // error or a phantom record.
         use vq_storage::wal::{MemBackend, WalBackend};
-        let records: Vec<WalRecord> = points.into_iter().map(WalRecord::Upsert).collect();
+        let records: Vec<WalRecord> = points.iter().map(upsert_record).collect();
         let mut full = Vec::new();
         for r in &records {
             let payload = r.encode();

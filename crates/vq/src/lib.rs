@@ -75,7 +75,7 @@ pub mod prelude {
         WallClock,
     };
     pub use vq_cluster::{
-        Cluster, ClusterClient, ClusterConfig, Deadlines, Durability, ExecMode, HealConfig,
+        Cluster, ClusterClient, ClusterConfig, Deadlines, Durability, HealConfig,
         Placement, SearchExec, SearchOutcome, WorkerHealth, WorkerInfo,
     };
     pub use vq_collection::{

@@ -63,8 +63,9 @@ fn wal_crash_recovery_preserves_search_results() {
     // it — the crash-recovery path end to end.
     let mut replay_wal = vq::vq_storage::Wal::in_memory();
     for i in 0..d.len() {
+        let row = vq::vq_core::PointBlock::from_points(&[d.point(i)]).unwrap();
         replay_wal
-            .append(&vq::vq_storage::WalRecord::Upsert(d.point(i)))
+            .append(&vq::vq_storage::WalRecord::UpsertBlock(row))
             .unwrap();
     }
     for id in [3u64, 77, 205] {
